@@ -6,6 +6,14 @@ configured tile are cut into overlapping crops with a *halo* of real
 context, so peak memory is bounded by ``batch_size * (tile + 2*halo)^2``
 regardless of image size.
 
+The tile grid is balanced (:meth:`TilingPlan.grid`): ``tile`` is the
+*maximum* tile edge, and each axis is cut into the fewest tiles it
+allows, all of one edge (rounded up onto the divisor grid).  A 64-px
+edge at tile 48 becomes two 32-px tiles read through 38-px crops
+(halo 3), not a 48-px tile plus a 16-px remainder that would still pay
+for a full 54-px crop — so less halo is recomputed, and never more
+crops or larger crops than the tile bound allows.
+
 Tiling is exact, not approximate.  Each crop window is clamped inside
 the image (never zero-filled), so wherever a crop edge is not the true
 image border, every retained output pixel sits at least ``halo`` pixels
@@ -59,7 +67,8 @@ class TilingPlan:
     """Geometry of tiled inference.
 
     Attributes:
-        tile: Edge of one output tile, in input pixels.
+        tile: Maximum edge of one output tile, in input pixels (see
+            :meth:`grid` for the balanced edges actually used).
         halo: Context margin read around each tile, in input pixels.
             Must cover the model's receptive-field radius for the tiled
             output to equal whole-image inference.
@@ -82,8 +91,26 @@ class TilingPlan:
 
     @property
     def crop(self) -> int:
-        """Edge of the input crop fed to the model per tile."""
+        """Largest input crop edge fed to the model per tile."""
         return self.tile + 2 * self.halo
+
+    def grid(self, h: int, w: int) -> tuple[int, int, int, int]:
+        """Balanced tile geometry ``(tile_h, tile_w, crop_h, crop_w)`` for
+        an ``h x w`` input (both on the divisor grid).
+
+        Per axis: the fewest tiles ``tile`` allows, ``k = ceil(extent /
+        tile)``, all of one edge ``round_up(ceil(extent / k), divisor)``
+        (only the last may come up short), each read through a crop of
+        ``min(extent, edge + 2*halo)``.  Equal edges keep a short
+        remainder tile from paying for a full-size crop: 64 px at tile 48
+        is two 32-px tiles, not 48 + 16.
+        """
+        th, tw = self._edge(h), self._edge(w)
+        return th, tw, min(h, th + 2 * self.halo), min(w, tw + 2 * self.halo)
+
+    def _edge(self, extent: int) -> int:
+        tiles = -(-extent // self.tile)
+        return _round_up(-(-extent // tiles), self.divisor)
 
 
 def _round_up(value: int, multiple: int) -> int:
@@ -259,17 +286,10 @@ class Predictor:
             # Switch once; eval() clears the layers' weight caches, so
             # calling it on every predict would defeat them.
             self.model.eval()
-        if self.tuned:
-            delegate = self._tuned_predictor(inputs.shape[1:])
-            if delegate is not None:
-                return (
-                    delegate._predict_batched(inputs)
-                    if h <= delegate.plan.tile and w <= delegate.plan.tile
-                    else delegate._predict_tiled(inputs)
-                )
-        if h <= self.plan.tile and w <= self.plan.tile:
-            return self._predict_batched(inputs)
-        return self._predict_tiled(inputs)
+        runner = (self._tuned_predictor(inputs.shape[1:]) if self.tuned else None) or self
+        if h <= runner.plan.tile and w <= runner.plan.tile:
+            return runner._predict_batched(inputs)
+        return runner._predict_tiled(inputs)
 
     def predict_image(self, image: np.ndarray) -> np.ndarray:
         """Convenience wrapper for a single (C, H, W) image."""
@@ -358,10 +378,9 @@ class Predictor:
         plan = self.plan
         s = plan.scale
         n, _, h, w = inputs.shape
-        # Clamp the geometry to the image (all quantities stay on the
-        # divisor grid because h, w, tile and halo are on it).
-        th, tw = min(plan.tile, h), min(plan.tile, w)
-        crop_h, crop_w = min(h, th + 2 * plan.halo), min(w, tw + 2 * plan.halo)
+        # All quantities stay on the divisor grid because h, w, tile and
+        # halo are on it.
+        th, tw, crop_h, crop_w = plan.grid(h, w)
         # One job per (image, tile) pair; crops share a shape, so jobs
         # batch across tile positions as well as images — a single large
         # image still fills batch_size-crop forwards.

@@ -266,7 +266,9 @@ class OpenLoopResult:
     rejected at admission or failed in service.  Latency is measured
     from the request's *scheduled arrival* (not the submit call), so a
     dispatcher running behind schedule shows up as latency, exactly as
-    a queue would.
+    a queue would.  ``slo_attainment`` is the share of *offered*
+    requests completed within ``slo_ms``: rejected and failed requests
+    count as misses, so shedding load never reads as meeting the SLO.
     """
 
     outputs: tuple[np.ndarray | None, ...]
@@ -375,5 +377,6 @@ def run_open_loop(server, trace: ArrivalTrace, slo_ms: float = 100.0) -> OpenLoo
         latency_ms_p95=float(np.percentile(lat_ms, 95)) if have else float("nan"),
         latency_ms_p99=float(np.percentile(lat_ms, 99)) if have else float("nan"),
         slo_ms=slo_ms,
-        slo_attainment=float((lat_ms <= slo_ms).mean()) if have else float("nan"),
+        # Over every offered request: a refused or failed one missed it.
+        slo_attainment=float((lat_ms <= slo_ms).sum() / offered) if offered else float("nan"),
     )

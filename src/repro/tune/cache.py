@@ -64,8 +64,10 @@ __all__ = [
     "TuningCache",
 ]
 
-#: Bump when the entry layout or tuning semantics change.
-TUNING_SCHEMA = 1
+#: Bump when the entry layout or tuning semantics change.  Schema 2:
+#: tiled inference cuts a balanced grid, so winners parity-checked
+#: against the old remainder-tile crops no longer apply.
+TUNING_SCHEMA = 2
 
 #: Repo-root ``results/tuning`` (``src/repro/tune/`` -> root).
 DEFAULT_TUNING_DIR = pathlib.Path(__file__).resolve().parents[3] / "results" / "tuning"

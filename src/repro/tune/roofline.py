@@ -94,10 +94,9 @@ def analytic_cost(
     layers = layers_of_model(model)
     intensity = cycles_per_pixel(layers) if layers else 1.0
 
-    # Compute roof: pixels actually convolved, halo recompute included.
-    th, tw = min(plan.tile, h), min(plan.tile, w)
-    crop_h = min(h, th + 2 * plan.halo)
-    crop_w = min(w, tw + 2 * plan.halo)
+    # Compute roof: pixels actually convolved, halo recompute included,
+    # on the same balanced grid the Predictor cuts.
+    th, tw, crop_h, crop_w = plan.grid(h, w)
     crops = math.ceil(h / th) * math.ceil(w / tw)
     pixels = batch * crops * crop_h * crop_w
     compute = pixels * intensity

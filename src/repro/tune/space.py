@@ -147,24 +147,22 @@ def candidate_space(
     """Enumerate the deterministic candidate list for one tuning key.
 
     Tile candidates are rounded onto the model's divisor grid and
-    deduplicated; shapes that fit inside every tile candidate collapse
-    the tile axis to the default (for such shapes every tile >= the
-    image runs the identical batched path, so varying it only bloats
-    the trial schedule).  The default configuration is always element 0.
+    deduplicated by the :meth:`~repro.nn.inference.TilingPlan.grid` they
+    cut the request shape into: tiles with equal grids run identical
+    crops (e.g. every tile >= the image runs the same batched path; 32
+    and 48 both cut 64 px into 2 x 32), so varying between them only
+    bloats the trial schedule.  The default tile is kept for its grid,
+    and the default configuration is always element 0.
     """
     if len(shape) != 3:
         raise ValueError(f"expected a (C, H, W) request shape, got {shape}")
     base = default_config(model, batch)
-    plan = plan_for_model(model, tile=base.tile)
-    divisor = plan.divisor
-    tiles: list[int] = []
-    for tile in (base.tile, *_TILE_CANDIDATES):
-        rounded = max(-(-tile // divisor) * divisor, divisor)
-        if rounded not in tiles:
-            tiles.append(rounded)
     h, w = int(shape[1]), int(shape[2])
-    if h <= min(tiles) and w <= min(tiles):
-        tiles = [base.tile]
+    grids: dict[tuple[int, int, int, int], int] = {}
+    for tile in (base.tile, *_TILE_CANDIDATES):
+        plan = plan_for_model(model, tile=tile)
+        grids.setdefault(plan.grid(h, w), plan.tile)
+    tiles = list(grids.values())
     candidates = [base]
     for backend in [None, *_backend_candidates()]:
         for tile in tiles:

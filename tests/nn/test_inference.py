@@ -6,8 +6,10 @@ import pytest
 from repro.models.ernet import dn_ernet_pu, sr4_ernet
 from repro.models.factory import make_factory
 from repro.nn.backend import EinsumBackend
+from repro.nn.fastconv import FastRingConv2d
 from repro.nn.inference import DEFAULT_TILE, Predictor, TilingPlan, plan_for_model
 from repro.nn.layers import Conv2d, ReLU, Sequential
+from repro.rings.catalog import get_ring
 
 
 def _randomize(model, seed=0):
@@ -60,6 +62,50 @@ class TestTilingPlan:
         # None still means "the shared default".
         assert Predictor(model, tile=None).plan == plan_for_model(model, tile=DEFAULT_TILE)
         assert plan_for_model(model).tile == DEFAULT_TILE
+
+
+class TestBalancedGrid:
+    """``TilingPlan.grid``: the fewest tiles the bound allows, equal edges."""
+
+    @pytest.mark.smoke
+    def test_remainder_tile_is_rebalanced(self):
+        # 64 px at tile 48 is two 32-px tiles through 38-px crops, not
+        # 48 + 16 through two 54-px crops: 5776 pixels computed, not 11664.
+        plan = TilingPlan(tile=48, halo=3)
+        assert plan.grid(64, 64) == (32, 32, 38, 38)
+
+    def test_non_square_ragged(self):
+        # 44 = 3 tiles of 16 (last 12), 36 = 3 tiles of 12; halo 8 crops.
+        assert TilingPlan(tile=16, halo=8, divisor=2).grid(44, 36) == (16, 12, 32, 28)
+
+    def test_edges_round_up_onto_divisor_grid(self):
+        # ceil(70/3) = 24, ceil(50/2) = 25 -> 26 for the pixel-unshuffle
+        # head; the 50-px crop clamps to the image.
+        plan = plan_for_model(dn_ernet_pu(blocks=1, ratio=1), tile=32)
+        assert (plan.halo, plan.divisor) == (8, 2)
+        assert plan.grid(70, 50) == (24, 26, 40, 42)
+
+    def test_prime_extents(self):
+        assert TilingPlan(tile=16, halo=6).grid(37, 53) == (13, 14, 25, 26)
+
+    def test_image_within_tile_is_one_whole_crop(self):
+        assert TilingPlan(tile=48, halo=3).grid(48, 20) == (48, 20, 48, 20)
+
+    @pytest.mark.parametrize("tile", [8, 16, 22, 48])
+    @pytest.mark.parametrize("halo, divisor", [(3, 1), (8, 2)])
+    def test_never_worse_than_the_remainder_rule(self, tile, halo, divisor):
+        # The grid is separable, so per-axis bounds bound the 2-D counts.
+        plan = TilingPlan(tile=tile, halo=halo, divisor=divisor)
+        for extent in range(divisor, 201, divisor):
+            edge, _, crop, _ = plan.grid(extent, extent)
+            assert edge <= tile and edge % divisor == 0
+            assert crop <= plan.crop
+            count = -(-extent // edge)
+            old_edge = min(tile, extent)
+            old_count = -(-extent // old_edge)
+            old_crop = min(extent, old_edge + 2 * halo)
+            assert count <= old_count, extent
+            assert count * crop <= old_count * old_crop, extent
 
 
 class TestBatching:
@@ -223,6 +269,22 @@ class TestAdversarialTilingParity:
         whole_blas = Predictor(model, batch_size=16)(x)
         chunked_blas = Predictor(model, batch_size=8)(x)
         assert np.array_equal(chunked_blas, whole_blas)
+
+    def test_rebalanced_remainder_tile(self):
+        # 64 px at tile 48 on three FRCONV layers (halo 3): the geometry
+        # the balanced grid changed from 48 + 16 to 2 x 32.
+        spec = get_ring("h")
+        model = Sequential(
+            *(
+                layer
+                for seed in range(3)
+                for layer in (FastRingConv2d(4, 4, 3, spec, padding=1, seed=seed), ReLU())
+            )
+        )
+        _randomize(model, seed=16)
+        assert plan_for_model(model, tile=48).grid(64, 64) == (32, 32, 38, 38)
+        x = np.random.default_rng(26).standard_normal((1, 4, 64, 64))
+        self._tiled_vs_whole(model, x, tile=48)
 
     def test_tiled_jobs_batch_remainder(self):
         # Tiled path, 2x2 tile grid per image + batch_size 3: crop

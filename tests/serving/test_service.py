@@ -2,6 +2,7 @@
 
 import threading
 import time
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import numpy as np
@@ -14,8 +15,10 @@ from repro.serving import (
     InferenceServer,
     ServerClosed,
     ServerOverloaded,
+    make_poisson_trace,
     make_workload,
     run_closed_loop,
+    run_open_loop,
     serial_reference,
 )
 from repro.serving.bench import make_bench_model
@@ -359,3 +362,39 @@ class TestErrorsAndStats:
         assert stats.throughput_rps > 0
         assert stats.latency_ms_p50 <= stats.latency_ms_p95 <= stats.latency_ms_max
         assert "req/s" in stats.format()
+
+
+class RefusingServer:
+    """Open-loop stand-in: refuses every ``refuse_every``-th submission
+    at admission, fails admitted submissions whose number is a multiple
+    of ``fail_every``, and answers the rest at once."""
+
+    def __init__(self, refuse_every: int, fail_every: int) -> None:
+        self.refuse_every = refuse_every
+        self.fail_every = fail_every
+        self.submitted = 0
+
+    def submit(self, image, timeout=None):
+        self.submitted += 1
+        if self.submitted % self.refuse_every == 0:
+            raise ServerOverloaded("full")
+        future = Future()
+        if self.submitted % self.fail_every == 0:
+            future.set_exception(ValueError("injected failure"))
+        else:
+            future.set_result(image)
+        return future
+
+
+class TestOpenLoopSlo:
+    def test_refused_and_failed_requests_miss_the_slo(self):
+        # 30 offered: 10 refused (multiples of 3), 4 failed (5, 10, 20,
+        # 25), 16 completed at once — so 16/30 met the SLO, not 16/16.
+        trace = make_poisson_trace(10_000.0, 30, (1, 4, 4), seed=0)
+        result = run_open_loop(RefusingServer(3, 5), trace, slo_ms=1_000.0)
+        assert (result.offered, result.rejected) == (30, 10)
+        assert (result.completed, result.failed) == (16, 4)
+        assert result.slo_attainment == pytest.approx(16 / 30)
+        # Every completed request met the SLO: a completed-only
+        # denominator would have read 1.000.
+        assert result.latency_ms_p99 < result.slo_ms

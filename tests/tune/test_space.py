@@ -69,6 +69,20 @@ class TestCandidateSpace:
         large_tiles = {config.tile for config in candidate_space(model, (1, 128, 128), 4)}
         assert len(large_tiles) > 1
 
+    @pytest.mark.parametrize("size", [16, 40, 64, 100, 128])
+    def test_no_two_tiles_share_a_grid(self, model, size):
+        # Tiles that cut the shape into the same grid run identical
+        # crops; only the default's representative may survive.
+        tiles = {config.tile for config in candidate_space(model, (1, size, size), 4)}
+        grids = [plan_for_model(model, tile=tile).grid(size, size) for tile in tiles]
+        assert len(grids) == len(set(grids))
+        assert default_config(model, 4).tile in tiles
+
+    def test_tile_32_folds_into_default_48_at_64px(self, model):
+        # 64 px at tile 32 or tile 48 is the same 2 x 32 grid.
+        tiles = {config.tile for config in candidate_space(model, (1, 64, 64), 4)}
+        assert 48 in tiles and 32 not in tiles
+
     def test_micro_batches_are_powers_of_two_within_bucket(self, model):
         # Powers of two up to bucket_batch(6) == 8, plus the default
         # configuration, which keeps its configured size of 6.

@@ -123,6 +123,25 @@ class TestLookupFallback:
         hit = lookup(model, SHAPE, BATCH)
         assert hit is not None and hit.winner == planted.winner
 
+    def test_schema_1_entry_is_a_clean_miss(self, model, tuning_dir, monkeypatch):
+        # Schema-1 winners were parity-checked against the pre-balanced
+        # tile crops; once the schema moved on they must never be served
+        # (a miss, not an error), and the tuned path falls back to the
+        # untuned bytes.
+        import repro.tune.cache as cache_module
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "TUNING_SCHEMA", 1)
+            _plant_entry(model, TunedConfig(backend="numpy", tile=48, batch_size=2))
+            assert lookup(model, SHAPE, BATCH) is not None
+        assert cache_module.TUNING_SCHEMA >= 2
+        assert list(tuning_dir.glob("*.json")), "stale entry not on disk"
+        assert lookup(model, SHAPE, BATCH) is None
+        x = _probe()
+        tuned = Predictor(model, batch_size=BATCH, tuned=True)
+        np.testing.assert_array_equal(tuned(x), Predictor(model, batch_size=BATCH)(x))
+        assert tuned._tuned_runtimes[SHAPE] is None
+
     def test_tuned_predictor_falls_back_bit_identically(self, model, tuning_dir):
         # A cached winner naming an unconstructible backend must leave
         # the tuned path on the untuned configuration — same bytes, no
@@ -164,6 +183,17 @@ class TestBitIdentity:
         np.testing.assert_array_equal(
             tuned(x), Predictor(model, batch_size=BATCH, tuned=False)(x)
         )
+
+    def test_same_grid_winner_serves_tiled_shapes_identically(self, model, tuning_dir):
+        # 64 px is tiled; tile 32 cuts the same 2 x 32 grid as the
+        # default tile 48, so the delegate's tiled path reproduces the
+        # untuned bytes even on BLAS.
+        shape = (1, 64, 64)
+        _plant_entry(model, TunedConfig(backend=None, tile=32, batch_size=2), shape=shape)
+        x = np.random.default_rng(5).standard_normal((BATCH, *shape))
+        tuned = Predictor(model, batch_size=BATCH, tuned=True)
+        np.testing.assert_array_equal(tuned(x), Predictor(model, batch_size=BATCH)(x))
+        assert tuned._tuned_runtimes[shape].plan.tile == 32
 
     def test_compiled_tuned_equals_untuned(self, model, tuning_dir):
         _plant_entry(model, TunedConfig(backend="numpy", tile=48, batch_size=2))
