@@ -5,7 +5,7 @@ every hot array primitive under :mod:`repro.nn` and :mod:`repro.serving`
 dispatches through the active :class:`repro.nn.backend.Backend` — a
 direct ``np.matmul`` / ``np.dot`` / ``np.einsum`` / scipy kernel call
 silently pins that operation to one substrate and is exactly the bug
-class behind ThreadedBackend's 2-D matmul row-split parity break that
+class behind the threaded backend's 2-D matmul row-split parity break that
 PR 4 had to fix at runtime.  :mod:`repro.nn.backend` itself is the
 sanctioned home of raw kernel calls and is exempt.
 """

@@ -8,10 +8,9 @@ a shared training loop.
 from . import backend
 from .backend import (
     Backend,
-    BlockedBackend,
     EinsumBackend,
     NumpyBackend,
-    ThreadedBackend,
+    SplitBackend,
     available_backends,
     current_backend,
     get_backend,
@@ -64,10 +63,9 @@ from .trainer import TrainConfig, TrainResult, evaluate_mse, train_model
 __all__ = [
     "backend",
     "Backend",
-    "BlockedBackend",
     "EinsumBackend",
     "NumpyBackend",
-    "ThreadedBackend",
+    "SplitBackend",
     "available_backends",
     "current_backend",
     "get_backend",

@@ -10,25 +10,20 @@ and ``conv2d_grouped`` (forward, inference and VJP pieces), ``matmul``,
 :class:`repro.nn.inference.Predictor`) dispatches through the *active*
 backend instead of calling kernels directly.
 
-Three implementations ship:
+Two implementations ship:
 
 * :class:`NumpyBackend` — the reference single-call im2col + GEMM path
   (the seed implementation, moved behind the protocol).
-* :class:`ThreadedBackend` — tiles the batch/group axis across a thread
-  pool.  numpy releases the GIL inside BLAS and large copies, so this
-  gives real multi-core speedup while staying **bit-identical**: work is
-  split only along axes that are embarrassingly parallel (each output
-  element is still produced by one GEMM over the full reduction axis),
-  and cross-batch reductions (the weight gradient) deliberately stay on
-  the single-call reference path.
-* :class:`BlockedBackend` — blocked inference GEMMs: the im2col matrix
-  is materialized a batch-block at a time into a preallocated scratch
-  buffer that is recycled across blocks and calls, so peak im2col
-  memory is ``O(block)`` samples instead of ``O(N)`` and steady-state
-  serving performs no large allocations.  Batch-blocking runs the very
-  same per-slice BLAS GEMMs, so results are bit-identical too.
+* :class:`SplitBackend` — runs the reference kernels span by span along
+  the batch (or, at batch 1, the group) axis, serially or on a thread
+  pool, with inference spans written straight into the output.  Work
+  is split only along axes that are embarrassingly parallel (each
+  output element is still produced by one GEMM over the full reduction
+  axis), so results stay **bit-identical**.
+  It is registered twice: ``threaded[:N]`` cuts ``N`` thread spans and
+  ``blocked[:B]`` runs ``B``-sample inference spans on one thread.
 
-A fourth, :class:`EinsumBackend`, is importable but deliberately **not**
+A third, :class:`EinsumBackend`, is importable but deliberately **not**
 registered: it trades BLAS speed for shape-invariant determinism (each
 output element's reduction is a fixed sequential chain, independent of
 how many other elements share the GEMM call), which registered backends
@@ -43,7 +38,7 @@ Selection precedence (first match wins):
 
 Backends are addressed by a spec string ``name[:arg]`` — ``numpy``,
 ``threaded``, ``threaded:8`` (worker count), ``blocked``, ``blocked:4``
-(samples per GEMM block).
+(samples per inference span).
 """
 
 from __future__ import annotations
@@ -59,8 +54,7 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "Backend",
     "NumpyBackend",
-    "ThreadedBackend",
-    "BlockedBackend",
+    "SplitBackend",
     "EinsumBackend",
     "available_backends",
     "conv_geometry",
@@ -218,10 +212,10 @@ class Backend:
 
     def _infer_scratch(self, key: tuple, shape: tuple[int, ...], dtype) -> tuple[np.ndarray, bool]:
         """Recycled per-thread buffer for the direct-write inference
-        paths; one live array per key per thread, pool bounded like
-        :class:`BlockedBackend`'s scratch.  Returns (buffer, fresh) so
-        callers can run one-time initialisation (pad borders) only when
-        the buffer was actually (re)allocated.
+        paths; one live array per key per thread, at most 16 keys per
+        thread.  Returns (buffer, fresh) so callers can run one-time
+        initialisation (pad borders) only when the buffer was actually
+        (re)allocated.
         """
         local = getattr(self, "_infer_local", None)
         if local is None:
@@ -455,33 +449,57 @@ class NumpyBackend(Backend):
         return self._conv2d_grouped_infer_into(x, w_flat, kh, kw, stride, padding, out)
 
 
-class ThreadedBackend(Backend):
-    """Tiles the batch/group axis of the hot primitives across threads.
+def _sliced(axis: int, span: tuple[int, int]) -> tuple[slice, ...]:
+    """Index selecting ``span`` along ``axis`` (0 = batch, 1 = group)."""
+    return (slice(None),) * axis + (slice(*span),)
 
-    Each worker computes a contiguous batch span with the *reference*
-    kernels into a disjoint slice of a preallocated output, so the split
-    never changes any element's floating-point reduction order — outputs
-    and input gradients are bit-identical to :class:`NumpyBackend`.  The
-    weight gradient reduces across the batch and is therefore left on
-    the single-call reference path (see
-    :meth:`Backend.conv2d_grad_weight`).
+
+class SplitBackend(Backend):
+    """Runs the hot primitives span by span along the batch (or group) axis.
+
+    One planner cuts the batch into contiguous spans: at most ``block``
+    samples per inference span when ``block`` is set, otherwise
+    ``threads`` near-equal parts.  At batch 1 the grouped primitives cut
+    the group axis instead, so batch-1 FRCONV still splits its m
+    products.  One runner executes the spans: a serial loop, or a
+    ``threads``-wide pool when the job is big enough to pay for the
+    handoff (numpy releases the GIL inside BLAS and large copies).
+
+    Each span runs the *reference* kernels on its slice and writes a
+    disjoint slice of a preallocated output.  numpy's batched matmul runs
+    one BLAS GEMM per 2-D slice, so every per-span GEMM keeps the
+    dimensions it has in the whole-batch call, and outputs and input
+    gradients stay **bit-identical** to :class:`NumpyBackend`.  Inference
+    spans write straight into ``out`` through the reference direct-write
+    kernels, so peak im2col memory is one span's worth.  Training
+    primitives split only when ``threads > 1``; the weight gradient
+    reduces across the batch and stays on the single-call reference
+    path.
+
+    The registry builds it under two names: ``threaded[:N]`` is
+    ``SplitBackend(threads=N)`` and ``blocked[:B]`` is
+    ``SplitBackend(threads=1, block=B)``.
 
     Args:
-        jobs: Worker threads; defaults to the usable CPU count.
+        threads: Worker threads; defaults to the usable CPU count.
+        block: Samples per inference span; None cuts ``threads`` parts.
     """
 
-    name = "threaded"
+    name = "split"
 
     # Below this many output elements a primitive runs serially — thread
     # handoff costs more than the GEMM it would hide.
     MIN_PARALLEL_ELEMENTS = 1 << 14
 
-    def __init__(self, jobs: int | None = None) -> None:
-        if jobs is None:
-            jobs = usable_cpu_count()
-        if jobs < 1:
-            raise ValueError(f"jobs must be a positive integer, got {jobs}")
-        self.jobs = int(jobs)
+    def __init__(self, threads: int | None = None, block: int | None = None) -> None:
+        if threads is None:
+            threads = usable_cpu_count()
+        if threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads}")
+        if block is not None and block < 1:
+            raise ValueError(f"block must be a positive integer, got {block}")
+        self.threads = int(threads)
+        self.block = None if block is None else int(block)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         # Set inside pool workers: primitives re-entered from a worker
@@ -492,32 +510,64 @@ class ThreadedBackend(Backend):
         self._in_worker = threading.local()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThreadedBackend(jobs={self.jobs})"
+        return f"SplitBackend(threads={self.threads}, block={self.block})"
 
-    # -- worker plumbing ------------------------------------------------
-    def _spans(self, n: int, work: int) -> list[tuple[int, int]]:
-        """Split range(n) into near-equal contiguous spans, or one span
-        when the job is too small for threading to pay off."""
-        if (
-            self.jobs == 1
-            or n <= 1
-            or work < self.MIN_PARALLEL_ELEMENTS
-            or getattr(self._in_worker, "active", False)
-        ):
+    def _infer_scratch(
+        self, key: tuple, shape: tuple[int, ...], dtype
+    ) -> tuple[np.ndarray, bool]:
+        """Call-scoped span buffers instead of the per-thread pool.
+
+        A span's padded input and im2col matrix are freed when the span
+        ends, and the allocator hands the same memory back next call.
+        A pinned pool measured slower: under glibc it keeps malloc's
+        mmap/trim thresholds low, so the eager forward's other multi-MB
+        temporaries are mapped and page-faulted afresh on every call
+        (FRCONV[h], batch 16, threaded:2 on 2 CPUs: ~2500 extra minor
+        faults and +4 ms per call).
+        """
+        return np.empty(shape, dtype=dtype), True
+
+    # -- span planner and runner ------------------------------------------
+    def _parallel(self, work: int) -> bool:
+        """Whether a job of ``work`` output elements goes to the pool."""
+        return (
+            self.threads > 1
+            and work >= self.MIN_PARALLEL_ELEMENTS
+            and not getattr(self._in_worker, "active", False)
+        )
+
+    def _spans(self, n: int, work: int, block: int | None = None) -> list[tuple[int, int]]:
+        """Cut range(n) into ``block``-sized spans when ``block`` is given,
+        else into one near-equal span per thread when the pool pays off,
+        else into one span."""
+        if block is not None and n > block:
+            return [(i, min(n, i + block)) for i in range(0, n, block)]
+        if n <= 1 or not self._parallel(work):
             return [(0, n)]
-        parts = min(self.jobs, n)
-        bounds = np.linspace(0, n, parts + 1, dtype=int)
+        bounds = np.linspace(0, n, min(self.threads, n) + 1, dtype=int)
         return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:], strict=True) if a < b]
 
-    def _run(self, fn: Callable[[tuple[int, int]], None], spans: Sequence[tuple[int, int]]) -> None:
-        if len(spans) == 1:
-            fn(spans[0])
+    def _grouped_spans(
+        self, n: int, groups: int, work: int, block: int | None = None
+    ) -> tuple[int, list[tuple[int, int]]]:
+        """(axis, spans) for grouped primitives: the batch axis, or the
+        group axis when the batch is too short to split."""
+        if n > 1 or groups <= 1:
+            return 0, self._spans(n, work, block)
+        return 1, self._spans(groups, work)
+
+    def _run(
+        self, fn: Callable[[tuple[int, int]], None], spans: Sequence[tuple[int, int]], work: int
+    ) -> None:
+        if len(spans) == 1 or not self._parallel(work):
+            for span in spans:
+                fn(span)
             return
         if self._pool is None:
             with self._pool_lock:
                 if self._pool is None:
                     self._pool = ThreadPoolExecutor(
-                        max_workers=self.jobs, thread_name_prefix="repro-backend"
+                        max_workers=self.threads, thread_name_prefix="repro-backend"
                     )
 
         def in_worker(span: tuple[int, int]) -> None:
@@ -530,26 +580,57 @@ class ThreadedBackend(Backend):
         # list() propagates the first worker exception, if any.
         list(self._pool.map(in_worker, spans))
 
-    # -- primitives -----------------------------------------------------
+    # -- inference primitives ---------------------------------------------
+    def conv2d_infer(self, x, w_mat, kh, kw, stride, padding, out=None):
+        n, _, h, w = x.shape
+        _, _, ho, wo = conv_geometry(h, w, kh, kw, stride, padding)
+        if out is None:
+            out = np.empty((n, w_mat.shape[0], ho, wo), dtype=np.result_type(x, w_mat))
+
+        def fill(span: tuple[int, int]) -> None:
+            i0, i1 = span
+            self._conv2d_infer_into(x[i0:i1], w_mat, kh, kw, stride, padding, out[i0:i1])
+
+        self._run(fill, self._spans(n, out.size, self.block), out.size)
+        return out
+
+    def conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding, out=None):
+        n, groups, _, h, w = x.shape
+        _, _, ho, wo = conv_geometry(h, w, kh, kw, stride, padding)
+        if out is None:
+            out = np.empty(
+                (n, groups, w_flat.shape[1], ho, wo), dtype=np.result_type(x, w_flat)
+            )
+        axis, spans = self._grouped_spans(n, groups, out.size, self.block)
+
+        def fill(span: tuple[int, int]) -> None:
+            s = _sliced(axis, span)
+            ws = w_flat if axis == 0 else w_flat[span[0] : span[1]]
+            self._conv2d_grouped_infer_into(x[s], ws, kh, kw, stride, padding, out[s])
+
+        self._run(fill, spans, out.size)
+        return out
+
+    # -- training primitives (split only when threads > 1) -----------------
     def im2col(self, x, kh, kw, stride, padding):
         n, c, h, w = x.shape
         dims = conv_geometry(h, w, kh, kw, stride, padding)
-        ho, wo = dims[2], dims[3]
-        spans = self._spans(n, n * c * kh * kw * ho * wo)
+        work = n * c * kh * kw * dims[2] * dims[3]
+        spans = self._spans(n, work)
         if len(spans) == 1:
             return Backend.im2col(self, x, kh, kw, stride, padding)
-        cols = np.empty((n, c * kh * kw, ho * wo), dtype=x.dtype)
+        cols = np.empty((n, c * kh * kw, dims[2] * dims[3]), dtype=x.dtype)
 
         def fill(span: tuple[int, int]) -> None:
             i0, i1 = span
             cols[i0:i1] = Backend.im2col(self, x[i0:i1], kh, kw, stride, padding)[0]
 
-        self._run(fill, spans)
+        self._run(fill, spans, work)
         return cols, dims
 
     def col2im(self, dcols, x_shape, kh, kw, stride, padding, ho, wo):
-        n = x_shape[0]
-        spans = self._spans(n, int(np.prod(x_shape)))
+        work = int(np.prod(x_shape))
+        spans = self._spans(x_shape[0], work)
         if len(spans) == 1:
             return Backend.col2im(self, dcols, x_shape, kh, kw, stride, padding, ho, wo)
         dx = np.empty(x_shape)
@@ -560,7 +641,7 @@ class ThreadedBackend(Backend):
                 self, dcols[i0:i1], (i1 - i0, *x_shape[1:]), kh, kw, stride, padding, ho, wo
             )
 
-        self._run(fill, spans)
+        self._run(fill, spans, work)
         return dx
 
     def matmul(self, a, b):
@@ -577,8 +658,8 @@ class ThreadedBackend(Backend):
             # b is either unbatched/broadcast (shared by every span) or
             # batched exactly like a (sliced alongside it).
             sliced_b = b.ndim == a.ndim and b.shape[:-2] == a.shape[:-2]
-            lead = int(np.prod(a.shape[:-2]))
-            spans = self._spans(a.shape[0], lead * a.shape[-2] * b.shape[-1])
+            work = int(np.prod(a.shape[:-2])) * a.shape[-2] * b.shape[-1]
+            spans = self._spans(a.shape[0], work)
             if len(spans) > 1:
                 out = np.empty((*a.shape[:-1], b.shape[-1]), dtype=np.result_type(a, b))
 
@@ -586,7 +667,7 @@ class ThreadedBackend(Backend):
                     i0, i1 = span
                     np.matmul(a[i0:i1], b[i0:i1] if sliced_b else b, out=out[i0:i1])
 
-                self._run(fill, spans)
+                self._run(fill, spans, work)
                 return out
         return np.matmul(a, b)
 
@@ -594,271 +675,82 @@ class ThreadedBackend(Backend):
         n, c, h, w = x.shape
         co = w_mat.shape[0]
         dims = conv_geometry(h, w, kh, kw, stride, padding)
-        ho, wo = dims[2], dims[3]
-        spans = self._spans(n, n * co * ho * wo)
+        work = n * co * dims[2] * dims[3]
+        spans = self._spans(n, work)
         if len(spans) == 1:
             return Backend.conv2d(self, x, w_mat, kh, kw, stride, padding)
-        cols = np.empty((n, c * kh * kw, ho * wo), dtype=x.dtype)
-        out = np.empty((n, co, ho, wo), dtype=np.result_type(x, w_mat))
+        cols = np.empty((n, c * kh * kw, dims[2] * dims[3]), dtype=x.dtype)
+        out = np.empty((n, co, dims[2], dims[3]), dtype=np.result_type(x, w_mat))
 
-        def work(span: tuple[int, int]) -> None:
+        def fill(span: tuple[int, int]) -> None:
             i0, i1 = span
-            part, _ = Backend.im2col(self, x[i0:i1], kh, kw, stride, padding)
-            cols[i0:i1] = part
-            out[i0:i1] = (w_mat @ part).reshape(i1 - i0, co, ho, wo)
+            out[i0:i1], cols[i0:i1], _ = Backend.conv2d(
+                self, x[i0:i1], w_mat, kh, kw, stride, padding
+            )
 
-        self._run(work, spans)
+        self._run(fill, spans, work)
         return out, cols, dims
 
-    def conv2d_infer(self, x, w_mat, kh, kw, stride, padding, out=None):
-        n, c, h, w = x.shape
-        co = w_mat.shape[0]
-        dims = conv_geometry(h, w, kh, kw, stride, padding)
-        ho, wo = dims[2], dims[3]
-        spans = self._spans(n, n * co * ho * wo)
-        if len(spans) == 1:
-            if out is not None:
-                return self._conv2d_infer_into(x, w_mat, kh, kw, stride, padding, out)
-            return Backend.conv2d_infer(self, x, w_mat, kh, kw, stride, padding)
-        if out is None:
-            out = np.empty((n, co, ho, wo), dtype=np.result_type(x, w_mat))
-
-        def work(span: tuple[int, int]) -> None:
-            i0, i1 = span
-            out[i0:i1] = Backend.conv2d_infer(self, x[i0:i1], w_mat, kh, kw, stride, padding)
-
-        self._run(work, spans)
-        return out
-
     def conv2d_grad_input(self, w_mat, grad_flat, x_shape, kh, kw, stride, padding, ho, wo):
-        n = x_shape[0]
-        spans = self._spans(n, int(np.prod(x_shape)))
+        work = int(np.prod(x_shape))
+        spans = self._spans(x_shape[0], work)
         if len(spans) == 1:
             return Backend.conv2d_grad_input(
                 self, w_mat, grad_flat, x_shape, kh, kw, stride, padding, ho, wo
             )
         dx = np.empty(x_shape)
 
-        def work(span: tuple[int, int]) -> None:
+        def fill(span: tuple[int, int]) -> None:
             i0, i1 = span
             dx[i0:i1] = Backend.conv2d_grad_input(
-                self,
-                w_mat,
-                grad_flat[i0:i1],
-                (i1 - i0, *x_shape[1:]),
-                kh,
-                kw,
-                stride,
-                padding,
-                ho,
-                wo,
+                self, w_mat, grad_flat[i0:i1], (i1 - i0, *x_shape[1:]),
+                kh, kw, stride, padding, ho, wo,
             )
 
-        self._run(work, spans)
+        self._run(fill, spans, work)
         return dx
-
-    def _grouped_spans(
-        self, n: int, groups: int, work: int
-    ) -> tuple[int, list[tuple[int, int]]]:
-        """(axis, spans) for grouped primitives: prefer the batch axis,
-        fall back to the group axis when the batch is too short to split
-        (so batch-1 FRCONV inference still parallelizes its m products)."""
-        if n > 1 or groups <= 1:
-            return 0, self._spans(n, work)
-        return 1, self._spans(groups, work)
 
     def conv2d_grouped(self, x, w_flat, kh, kw, stride, padding):
         n, groups, ci, h, w = x.shape
         co = w_flat.shape[1]
         dims = conv_geometry(h, w, kh, kw, stride, padding)
-        ho, wo = dims[2], dims[3]
-        axis, spans = self._grouped_spans(n, groups, n * groups * co * ho * wo)
+        work = n * groups * co * dims[2] * dims[3]
+        axis, spans = self._grouped_spans(n, groups, work)
         if len(spans) == 1:
             return Backend.conv2d_grouped(self, x, w_flat, kh, kw, stride, padding)
-        cols = np.empty((n, groups, ci * kh * kw, ho * wo), dtype=x.dtype)
-        out = np.empty((n, groups, co, ho, wo), dtype=np.result_type(x, w_flat))
+        cols = np.empty((n, groups, ci * kh * kw, dims[2] * dims[3]), dtype=x.dtype)
+        out = np.empty((n, groups, co, dims[2], dims[3]), dtype=np.result_type(x, w_flat))
 
-        def work(span: tuple[int, int]) -> None:
-            i0, i1 = span
-            xs = x[i0:i1] if axis == 0 else x[:, i0:i1]
-            ws = w_flat if axis == 0 else w_flat[i0:i1]
-            part_out, part_cols, _ = Backend.conv2d_grouped(
-                self, xs, ws, kh, kw, stride, padding
-            )
-            if axis == 0:
-                cols[i0:i1], out[i0:i1] = part_cols, part_out
-            else:
-                cols[:, i0:i1], out[:, i0:i1] = part_cols, part_out
+        def fill(span: tuple[int, int]) -> None:
+            s = _sliced(axis, span)
+            ws = w_flat if axis == 0 else w_flat[span[0] : span[1]]
+            out[s], cols[s], _ = Backend.conv2d_grouped(self, x[s], ws, kh, kw, stride, padding)
 
-        self._run(work, spans)
+        self._run(fill, spans, work)
         return out, cols, dims
-
-    def conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding, out=None):
-        n, groups, ci, h, w = x.shape
-        co = w_flat.shape[1]
-        dims = conv_geometry(h, w, kh, kw, stride, padding)
-        ho, wo = dims[2], dims[3]
-        axis, spans = self._grouped_spans(n, groups, n * groups * co * ho * wo)
-        if len(spans) == 1:
-            if out is not None:
-                return self._conv2d_grouped_infer_into(
-                    x, w_flat, kh, kw, stride, padding, out
-                )
-            return Backend.conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding)
-        if out is None:
-            out = np.empty((n, groups, co, ho, wo), dtype=np.result_type(x, w_flat))
-
-        def work(span: tuple[int, int]) -> None:
-            i0, i1 = span
-            xs = x[i0:i1] if axis == 0 else x[:, i0:i1]
-            ws = w_flat if axis == 0 else w_flat[i0:i1]
-            part = Backend.conv2d_grouped_infer(self, xs, ws, kh, kw, stride, padding)
-            if axis == 0:
-                out[i0:i1] = part
-            else:
-                out[:, i0:i1] = part
-
-        self._run(work, spans)
-        return out
 
     def conv2d_grouped_grad_input(
         self, w_flat, grad_flat, x_shape, kh, kw, stride, padding, ho, wo
     ):
-        n, groups = x_shape[0], x_shape[1]
-        axis, spans = self._grouped_spans(n, groups, int(np.prod(x_shape)))
+        work = int(np.prod(x_shape))
+        axis, spans = self._grouped_spans(x_shape[0], x_shape[1], work)
         if len(spans) == 1:
             return Backend.conv2d_grouped_grad_input(
                 self, w_flat, grad_flat, x_shape, kh, kw, stride, padding, ho, wo
             )
         dx = np.empty(x_shape)
 
-        def work(span: tuple[int, int]) -> None:
-            i0, i1 = span
-            if axis == 0:
-                dx[i0:i1] = Backend.conv2d_grouped_grad_input(
-                    self, w_flat, grad_flat[i0:i1], (i1 - i0, *x_shape[1:]),
-                    kh, kw, stride, padding, ho, wo,
-                )
-            else:
-                dx[:, i0:i1] = Backend.conv2d_grouped_grad_input(
-                    self, w_flat[i0:i1], grad_flat[:, i0:i1],
-                    (n, i1 - i0, *x_shape[2:]), kh, kw, stride, padding, ho, wo,
-                )
+        def fill(span: tuple[int, int]) -> None:
+            s = _sliced(axis, span)
+            ws = w_flat if axis == 0 else w_flat[span[0] : span[1]]
+            shape = list(x_shape)
+            shape[axis] = span[1] - span[0]
+            dx[s] = Backend.conv2d_grouped_grad_input(
+                self, ws, grad_flat[s], tuple(shape), kh, kw, stride, padding, ho, wo
+            )
 
-        self._run(work, spans)
+        self._run(fill, spans, work)
         return dx
-
-
-class BlockedBackend(Backend):
-    """Batch-blocked inference GEMMs with preallocated im2col scratch.
-
-    The no-grad convolutions never materialize the full im2col matrix:
-    the batch (times groups, for grouped conv) is processed ``block``
-    samples at a time, each block's windows are copied into a reused
-    scratch buffer, and one GEMM writes that block of the output.  Peak
-    im2col memory drops from ``N*K*Ho*Wo`` to ``block*K*Ho*Wo`` doubles,
-    and the scratch is allocated once and recycled across blocks *and*
-    calls, so steady-state serving does no large allocations at all.
-
-    Numpy's batched matmul runs one BLAS GEMM per 2-D batch slice, so
-    slicing the batch axis leaves every GEMM call — and therefore every
-    output bit — identical to :class:`NumpyBackend`.  (Column-blocking
-    was rejected here: tiny GEMMs can take a different BLAS micro-kernel
-    with a different accumulation order.)
-
-    Training-path calls need the full column matrix alive for the weight
-    VJP and therefore fall back to the reference path unchanged.
-
-    Args:
-        block: Samples per GEMM block (default 1 — minimum memory).
-    """
-
-    name = "blocked"
-
-    def __init__(self, block: int = 1) -> None:
-        if block < 1:
-            raise ValueError(f"block must be a positive integer, got {block}")
-        self.block = int(block)
-        # Scratch is per thread: one shared instance (e.g. selected via
-        # REPRO_BACKEND) may serve concurrent Predictors, and a shared
-        # buffer would let one thread overwrite windows another thread's
-        # GEMM is still reading.
-        self._local = threading.local()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"BlockedBackend(block={self.block})"
-
-    def _scratch(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """A reusable uninitialized buffer; one live per (shape, dtype)
-        per thread."""
-        buffers: dict = getattr(self._local, "buffers", None)
-        if buffers is None:
-            buffers = self._local.buffers = {}
-        key = (shape, np.dtype(dtype).str)
-        buf = buffers.get(key)
-        if buf is None:
-            if len(buffers) >= 16:  # bound the pool across model shapes
-                buffers.clear()
-            buf = np.empty(shape, dtype=dtype)
-            buffers[key] = buf
-        return buf
-
-    def _block_cols(
-        self, xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int
-    ) -> np.ndarray:
-        """im2col of a padded input block into the scratch pool."""
-        n, c = xp.shape[0], xp.shape[1]
-        s0, s1, s2, s3 = xp.strides
-        windows = np.lib.stride_tricks.as_strided(
-            xp,
-            shape=(n, c, kh, kw, ho, wo),
-            strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-            writeable=False,
-        )
-        buf = self._scratch((n, c, kh, kw, ho, wo), xp.dtype)
-        np.copyto(buf, windows)
-        return buf.reshape(n, c * kh * kw, ho * wo)
-
-    def conv2d_infer(self, x, w_mat, kh, kw, stride, padding, out=None):
-        n, c, h, w = x.shape
-        if n <= self.block:
-            if out is not None:
-                return self._conv2d_infer_into(x, w_mat, kh, kw, stride, padding, out)
-            return Backend.conv2d_infer(self, x, w_mat, kh, kw, stride, padding)
-        co = w_mat.shape[0]
-        _, _, ho, wo = conv_geometry(h, w, kh, kw, stride, padding)
-        pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        if out is None:
-            out = np.empty((n, co, ho, wo), dtype=np.result_type(x, w_mat))
-        for i0 in range(0, n, self.block):
-            i1 = min(n, i0 + self.block)
-            xb = np.pad(x[i0:i1], pad) if padding else x[i0:i1]
-            cols = self._block_cols(xb, kh, kw, stride, ho, wo)
-            out[i0:i1] = (w_mat @ cols).reshape(i1 - i0, co, ho, wo)
-        return out
-
-    def conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding, out=None):
-        n, groups, ci, h, w = x.shape
-        if n <= self.block:
-            if out is not None:
-                return self._conv2d_grouped_infer_into(
-                    x, w_flat, kh, kw, stride, padding, out
-                )
-            return Backend.conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding)
-        co = w_flat.shape[1]
-        _, _, ho, wo = conv_geometry(h, w, kh, kw, stride, padding)
-        pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        k = ci * kh * kw
-        if out is None:
-            out = np.empty((n, groups, co, ho, wo), dtype=np.result_type(x, w_flat))
-        for i0 in range(0, n, self.block):
-            i1 = min(n, i0 + self.block)
-            xb = x[i0:i1].reshape((i1 - i0) * groups, ci, h, w)
-            xb = np.pad(xb, pad) if padding else xb
-            cols = self._block_cols(xb, kh, kw, stride, ho, wo)
-            cols = cols.reshape(i1 - i0, groups, k, ho * wo)
-            out[i0:i1] = (w_flat[None] @ cols).reshape(i1 - i0, groups, co, ho, wo)
-        return out
 
 
 class EinsumBackend(Backend):
@@ -948,12 +840,8 @@ def make_backend(spec: "Backend | str") -> Backend:
 
 
 register_backend("numpy", lambda arg: NumpyBackend())
-register_backend(
-    "threaded", lambda arg: ThreadedBackend(jobs=int(arg)) if arg else ThreadedBackend()
-)
-register_backend(
-    "blocked", lambda arg: BlockedBackend(block=int(arg)) if arg else BlockedBackend()
-)
+register_backend("threaded", lambda arg: SplitBackend(threads=int(arg) if arg else None))
+register_backend("blocked", lambda arg: SplitBackend(threads=1, block=int(arg) if arg else 1))
 
 
 _DEFAULT = NumpyBackend()
@@ -1013,7 +901,7 @@ class use_backend:
 
     Accepts an instance or a spec string::
 
-        with use_backend(ThreadedBackend(jobs=4)):
+        with use_backend(SplitBackend(threads=4)):
             predictor(images)
         with use_backend("blocked:2048"):
             model(x)

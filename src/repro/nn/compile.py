@@ -9,8 +9,8 @@ removes that per-request interpreter tax: one eager forward is traced
 into a flat :class:`ExecutionPlan`, and subsequent forwards *replay*
 the plan — no Tensor/autodiff wrappers, weight-side constants baked in,
 elementwise chains fused, intermediates served from a preallocated
-per-thread buffer arena (extending the recycled-scratch idea of
-:class:`~repro.nn.backend.BlockedBackend` to the whole forward).
+per-thread buffer arena (extending the backends' recycled im2col
+scratch to the whole forward).
 
 The compiled path is **bit-identical to eager by construction and by
 proof**: every replay kernel mirrors the exact numpy expression (and

@@ -7,7 +7,7 @@ products execute as one :func:`~repro.nn.functional.conv2d_grouped` call
 — a single im2col plus one batched GEMM — rather than a Python loop of
 per-product convolutions.  That call dispatches through the active
 :mod:`repro.nn.backend`, so the same FRCONV graph runs on the serial
-numpy path, the thread-tiled path or the cache-blocked path unchanged
+numpy path or the split path (thread-tiled or cache-blocked) unchanged
 (the paper's point that eq. 12 maps onto different execution
 substrates).
 

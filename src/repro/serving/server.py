@@ -67,7 +67,10 @@ class ServerStats:
     The latency schema (p50/p95/p99 + ``slo_attainment`` against
     ``slo_ms``) is shared with the process-sharded server's
     :class:`~repro.serving.cluster.ClusterStats`, so thread- and
-    process-based serving report comparably.
+    process-based serving report comparably.  Both follow one rule: the
+    latency fields and ``slo_attainment`` cover successful requests
+    only; a failed request counts in ``requests`` and ``failed`` and
+    never in the latency window.
     """
 
     requests: int
@@ -132,12 +135,13 @@ class _StatsAccumulator:
     ) -> None:
         with self._lock:
             self.requests += size
-            if failed:
-                self.failed += size
             self._batches += 1
             self._batch_size_max = max(self._batch_size_max, size)
             self._batch_seconds_sum += seconds
-            self._latencies.extend(latencies)  # maxlen evicts the oldest
+            if failed:
+                self.failed += size
+            else:
+                self._latencies.extend(latencies)  # maxlen evicts the oldest
 
     def snapshot(self) -> ServerStats:
         with self._lock:

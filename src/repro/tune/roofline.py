@@ -71,9 +71,7 @@ def _backend_factor(backend: str | None) -> float:
         # path's (see bench_backends), which the SRAM term below cannot
         # see because it prices the whole micro-batch.
         return 0.95 / _parallel_speedup(jobs)
-    if name == "blocked":
-        return 1.0  # memory shaping, priced by the SRAM term
-    return 1.0
+    return 1.0  # numpy, and blocked's memory shaping (priced by the SRAM term)
 
 
 def analytic_cost(

@@ -14,9 +14,8 @@ import pytest
 from repro.nn.backend import (
     BACKEND_ENV_VAR,
     Backend,
-    BlockedBackend,
     NumpyBackend,
-    ThreadedBackend,
+    SplitBackend,
     available_backends,
     current_backend,
     default_backend,
@@ -31,20 +30,32 @@ from repro.nn.tensor import Tensor, no_grad
 from repro.rings.catalog import get_ring
 
 
-def _threaded_forced() -> ThreadedBackend:
-    """A ThreadedBackend that parallelizes even tiny test problems."""
-    backend = ThreadedBackend(jobs=3)
+def _threaded_forced() -> SplitBackend:
+    """A threaded SplitBackend that parallelizes even tiny test problems."""
+    backend = SplitBackend(threads=3)
+    backend.MIN_PARALLEL_ELEMENTS = 0
+    return backend
+
+
+def _threaded_blocked_forced() -> SplitBackend:
+    """Pool-run block spans: a setting neither alias reaches."""
+    backend = SplitBackend(threads=2, block=2)
     backend.MIN_PARALLEL_ELEMENTS = 0
     return backend
 
 
 def _alternative_backends() -> list[Backend]:
     """Every non-reference backend, configured so its special path runs."""
-    return [_threaded_forced(), BlockedBackend(block=1), BlockedBackend(block=2)]
+    return [
+        _threaded_forced(),
+        SplitBackend(threads=1, block=1),
+        SplitBackend(threads=1, block=2),
+        _threaded_blocked_forced(),
+    ]
 
 
 def _alt_ids() -> list[str]:
-    return ["threaded:3", "blocked:1", "blocked:2"]
+    return ["threaded:3", "blocked:1", "blocked:2", "threads2-block2"]
 
 
 # ----------------------------------------------------------------------
@@ -58,18 +69,18 @@ class TestSelection:
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert isinstance(current_backend(), NumpyBackend)
         assert current_backend() is default_backend()
-        threaded = ThreadedBackend(jobs=2)
+        threaded = SplitBackend(threads=2)
         with use_backend(threaded):
             assert current_backend() is threaded
             with use_backend("blocked"):
-                assert isinstance(current_backend(), BlockedBackend)
+                assert isinstance(current_backend(), SplitBackend)
             assert current_backend() is threaded
         assert current_backend() is default_backend()
 
     def test_env_var_between_default_and_context(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "threaded:2")
         env_backend = current_backend()
-        assert isinstance(env_backend, ThreadedBackend) and env_backend.jobs == 2
+        assert isinstance(env_backend, SplitBackend) and env_backend.threads == 2
         assert current_backend() is env_backend  # instance cached per spec
         with use_backend("numpy"):
             assert isinstance(current_backend(), NumpyBackend)
@@ -83,10 +94,12 @@ class TestSelection:
 
     def test_make_backend_specs(self):
         assert isinstance(make_backend("numpy"), NumpyBackend)
-        assert make_backend("threaded:5").jobs == 5
+        threaded = make_backend("threaded:5")
+        assert (threaded.threads, threaded.block) == (5, None)
         assert make_backend("blocked:4").block == 4
-        assert make_backend("Blocked").block == 1  # case-insensitive, default arg
-        instance = BlockedBackend()
+        blocked = make_backend("Blocked")  # case-insensitive, default arg
+        assert (blocked.threads, blocked.block) == (1, 1)
+        instance = SplitBackend()
         assert make_backend(instance) is instance
 
     def test_make_backend_errors_name_alternatives(self):
@@ -97,9 +110,9 @@ class TestSelection:
         with pytest.raises(ValueError, match="bad backend spec"):
             make_backend("threaded:lots")
         with pytest.raises(ValueError):
-            ThreadedBackend(jobs=0)
+            SplitBackend(threads=0)
         with pytest.raises(ValueError):
-            BlockedBackend(block=0)
+            SplitBackend(block=0)
 
     def test_available_backends_registered(self):
         names = available_backends()
@@ -109,7 +122,7 @@ class TestSelection:
         shared = get_backend("threaded:7")
         assert get_backend("threaded:7") is shared  # no thread-pool churn
         assert make_backend("threaded:7") is not shared  # explicit fresh copy
-        instance = BlockedBackend()
+        instance = SplitBackend()
         assert get_backend(instance) is instance
 
 
@@ -265,7 +278,7 @@ def test_predictor_backend_parity_batched_and_tiled():
         param.data[...] += 0.05 * rng.standard_normal(param.shape)
     x = rng.standard_normal((5, 1, 24, 24))
     base = Predictor(model, batch_size=2, tile=24, backend="numpy")(x)
-    for backend in [_threaded_forced(), BlockedBackend(block=1)]:
+    for backend in [_threaded_forced(), SplitBackend(threads=1, block=1)]:
         assert np.array_equal(Predictor(model, batch_size=2, tile=24, backend=backend)(x), base)
         # tile smaller than the image => the tiled-with-halo path
         tiled = Predictor(model, batch_size=2, tile=12, backend=backend)(x)
@@ -290,7 +303,7 @@ def test_predictor_without_backend_uses_ambient(monkeypatch):
 def test_backward_captures_forward_backend():
     calls = []
 
-    class Spy(ThreadedBackend):
+    class Spy(SplitBackend):
         def conv2d_grad_input(self, *args, **kwargs):
             calls.append("grad_input")
             return super().conv2d_grad_input(*args, **kwargs)
@@ -298,7 +311,7 @@ def test_backward_captures_forward_backend():
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((2, 2, 6, 6)), requires_grad=True)
     w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
-    with use_backend(Spy(jobs=1)):
+    with use_backend(Spy(threads=1)):
         out = conv2d(x, w, padding=1)
     # graph built under the spy; backward after the context has exited
     (out**2).sum().backward()

@@ -15,10 +15,9 @@ import pytest
 from repro.models.ernet import dn_ernet_pu, sr4_ernet
 from repro.models.factory import make_factory
 from repro.nn.backend import (
-    BlockedBackend,
     EinsumBackend,
     NumpyBackend,
-    ThreadedBackend,
+    SplitBackend,
     current_backend,
     use_backend,
 )
@@ -40,8 +39,8 @@ from repro.rings.catalog import get_ring
 RING_KEYS = ("c", "ri4", "h")
 
 
-def _threaded_forced() -> ThreadedBackend:
-    backend = ThreadedBackend(jobs=2)
+def _threaded_forced(block: int | None = None) -> SplitBackend:
+    backend = SplitBackend(threads=2, block=block)
     backend.MIN_PARALLEL_ELEMENTS = 0  # parallelize even tiny test shapes
     return backend
 
@@ -50,8 +49,9 @@ def _backends():
     return [
         ("numpy", NumpyBackend()),
         ("threaded", _threaded_forced()),
-        ("blocked1", BlockedBackend(block=1)),
-        ("blocked2", BlockedBackend(block=2)),
+        ("blocked1", SplitBackend(threads=1, block=1)),
+        ("blocked2", SplitBackend(threads=1, block=2)),
+        ("threads2-block2", _threaded_forced(block=2)),
     ]
 
 

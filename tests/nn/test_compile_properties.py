@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.backend import BlockedBackend, NumpyBackend, ThreadedBackend, use_backend
+from repro.nn.backend import NumpyBackend, SplitBackend, use_backend
 from repro.nn.compile import build_plan
 from repro.nn.fastconv import FastRingConv2d
 from repro.nn.layers import (
@@ -41,8 +41,8 @@ SMOKE_COUNT = 16
 RING_KEYS = ("c", "ri4", "h")
 
 
-def _threaded_forced() -> ThreadedBackend:
-    backend = ThreadedBackend(jobs=2)
+def _threaded_forced() -> SplitBackend:
+    backend = SplitBackend(threads=2)
     backend.MIN_PARALLEL_ELEMENTS = 0
     return backend
 
@@ -51,8 +51,8 @@ def _backend(rng: np.random.Generator):
     return [
         NumpyBackend,
         _threaded_forced,
-        lambda: BlockedBackend(block=1),
-        lambda: BlockedBackend(block=2),
+        lambda: SplitBackend(threads=1, block=1),
+        lambda: SplitBackend(threads=1, block=2),
     ][int(rng.integers(0, 4))]()
 
 

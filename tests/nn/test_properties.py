@@ -7,7 +7,7 @@ repo's randomized checks:
 
 * **analytic == numeric gradients** via ``gradcheck.check_gradients``;
 * **bit-exact cross-backend parity** — forward output and input gradient
-  under the forced-parallel ThreadedBackend and the BlockedBackend equal
+  under the forced-parallel threaded and the blocked SplitBackend equal
   the NumpyBackend reference bit for bit.
 
 Cases are fully deterministic (fixed seeds), so the sweep never flakes:
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.backend import BlockedBackend, NumpyBackend, ThreadedBackend, use_backend
+from repro.nn.backend import NumpyBackend, SplitBackend, use_backend
 from repro.nn.fastconv import frconv2d
 from repro.nn.functional import (
     avg_pool2d,
@@ -44,8 +44,8 @@ SMOKE_COUNT = 20
 RING_KEYS = ("c", "ri4", "h")
 
 
-def _threaded_forced() -> ThreadedBackend:
-    backend = ThreadedBackend(jobs=3)
+def _threaded_forced() -> SplitBackend:
+    backend = SplitBackend(threads=3)
     backend.MIN_PARALLEL_ELEMENTS = 0  # parallelize even tiny test shapes
     return backend
 
@@ -54,7 +54,7 @@ def _check(build, x: np.ndarray) -> None:
     """Gradcheck ``build`` at ``x``, then cross-backend bit parity."""
     check_gradients(build, x.copy())
     reference: tuple[np.ndarray, np.ndarray] | None = None
-    for backend in (NumpyBackend(), _threaded_forced(), BlockedBackend(block=1)):
+    for backend in (NumpyBackend(), _threaded_forced(), SplitBackend(threads=1, block=1)):
         with use_backend(backend):
             t = Tensor(x.copy(), requires_grad=True)
             out = build(t)

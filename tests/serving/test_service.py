@@ -339,16 +339,20 @@ class TestCancellation:
 
 class TestErrorsAndStats:
     def test_model_exception_propagates_and_server_survives(self):
-        model = SlowIdentity(fail=True)
+        # The failing request is slow and the good one fast: failures
+        # stay out of the latency window, so the max is the fast one's.
+        delay_s = 0.3
+        model = SlowIdentity(delay_s=delay_s, fail=True)
         with InferenceServer(model, workers=1, max_batch=2, max_wait_ms=0.0) as server:
             future = server.submit(np.zeros((1, 4, 4)))
             with pytest.raises(ValueError, match="injected model failure"):
                 future.result(timeout=10)
-            model.fail = False
+            model.fail, model.delay_s = False, 0.0
             out = server.predict(np.ones((1, 4, 4)), timeout=10)
             stats = server.stats()
         assert np.array_equal(out, np.ones((1, 4, 4)))
         assert stats.failed >= 1 and stats.requests >= 2
+        assert stats.latency_ms_max < delay_s * 1e3
 
     def test_stats_snapshot_is_coherent(self):
         model = make_bench_model(seed=0)

@@ -45,7 +45,7 @@ def test_nn_namespace_exports_backend_api():
     from repro import nn
 
     for name in (
-        "backend", "Backend", "NumpyBackend", "ThreadedBackend", "BlockedBackend",
+        "backend", "Backend", "NumpyBackend", "SplitBackend",
         "use_backend", "current_backend", "available_backends",
         "Predictor", "conv2d_grouped",
     ):
