@@ -7,9 +7,7 @@ common, factored out so neither owns it:
   (:class:`ShmRing` / :class:`RingClient`): fixed-size slots carved out
   of one ``multiprocessing.shared_memory`` segment, so tensors cross
   process boundaries as raw bytes while only tiny descriptors travel
-  through queues.  Hoisted from ``repro/serving/shm.py`` (PR 8) when
-  data-parallel training became the second consumer; the serving module
-  re-exports it for compatibility.
+  through queues.
 * :mod:`repro.comms.reduce` — :func:`tree_reduce`, the fixed-order
   pairwise summation behind the trainer's deterministic gradient
   all-reduce, plus the flat-vector packing helpers

@@ -9,9 +9,7 @@ costs a full serialize/deserialize copy through a pipe, which at
 serving or per-step training rates dwarfs the GEMM work for small
 payloads.  Instead, one :class:`ShmRing` carves a single
 ``multiprocessing.shared_memory`` segment into fixed-size *slots*; only
-tiny descriptors (slot index, shape, request id) ever cross a queue.
-(The module grew up as ``repro/serving/shm.py``; it was hoisted here
-unchanged when training became the second consumer.)
+tiny descriptors (slot indices, shapes) ever cross a queue.
 
 Slot lifecycle (one request, happy path)::
 
@@ -26,7 +24,7 @@ Slot lifecycle (one request, happy path)::
 The response region starts *after* the request payload
 (:func:`ShmRing.response_offset`), so the request bytes stay intact
 until the router frees the slot — this is what makes worker-crash
-retry safe: a re-dispatched descriptor finds the original request
+retry safe: a re-sent descriptor finds the original request
 payload untouched, and a slot is released exactly once, by whoever
 resolves the request.
 

@@ -8,7 +8,7 @@ Two servers, one bit-identity contract:
   backpressure, graceful shutdown and latency/throughput stats.
 * :class:`ShardedInferenceServer` — a spawn-backed worker *process*
   pool (one Predictor replica per process, shared-memory tensor
-  transport via :mod:`~repro.serving.shm`, shape-affine routing,
+  transport via :mod:`~repro.comms.shm`, shape-affine routing,
   admission control and crash recovery) for workloads where the GIL is
   the bottleneck.
 
@@ -20,6 +20,7 @@ deterministic closed-loop or open-loop Poisson load;
 ``python -m repro serve-bench``.
 """
 
+from ..comms.shm import RingClient, ShmRing, active_segments
 from .bench import (
     ServeBenchConfig,
     ServeBenchReport,
@@ -42,7 +43,6 @@ from .loadgen import (
     serial_reference,
 )
 from .server import InferenceServer, ServerClosed, ServerOverloaded, ServerStats
-from .shm import RingClient, ShmRing, active_segments
 
 __all__ = [
     "InferenceServer",

@@ -200,14 +200,14 @@ class ShardedBenchReport:
             + (", compiled" if cfg.compiled else "")
             + (", tuned" if cfg.tuned else ""),
             f"  {'procs':>5} {'req/s':>8} {'lat ms':>8} {'p50 ms':>8} "
-            f"{'p95 ms':>8} {'p99 ms':>8} {'SLO att':>8}",
+            f"{'p95 ms':>8} {'p99 ms':>8} {'SLO att':>8} {'batch':>6}",
         ]
         for row in self.rows:
             lines.append(
                 f"  {row['procs']:>5} {row['throughput_rps']:8.1f} "
                 f"{row['latency_ms_mean']:8.2f} {row['latency_ms_p50']:8.2f} "
                 f"{row['latency_ms_p95']:8.2f} {row['latency_ms_p99']:8.2f} "
-                f"{row['slo_attainment']:8.3f}"
+                f"{row['slo_attainment']:8.3f} {row['mean_batch_size']:6.2f}"
             )
         for procs in self.config.procs:
             if procs != 1:
@@ -282,6 +282,7 @@ def run_sharded_bench(config: ShardedBenchConfig) -> ShardedBenchReport:
                 "latency_ms_p95": result.latency_ms_p95,
                 "latency_ms_p99": result.latency_ms_p99,
                 "slo_attainment": result.slo_attainment,
+                "mean_batch_size": stats.mean_batch_size,
                 "respawns": stats.respawns,
             }
         )

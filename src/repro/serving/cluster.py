@@ -7,50 +7,52 @@ thread-based :class:`~repro.serving.server.InferenceServer`: a pool of
 :class:`~repro.nn.inference.Predictor` — or
 :class:`~repro.nn.inference.CompiledPredictor` — replica of one model,
 so GEMM-bound requests run on separate interpreters instead of
-contending for one GIL.
+contending for one GIL.  Admission, shape-bucketed micro-batching,
+futures, shutdown and stats are the serving core both servers share;
+only where a batch runs differs.
 
-**Transport.**  Request and response arrays never cross a pipe: the
-router writes each request into a :class:`~repro.serving.shm.ShmRing`
-slot and sends only a tiny descriptor ``(request id, slot, shape,
-degraded)`` over the worker's task queue; the worker copies the array
-out of shared memory, predicts, writes the response into the same
-slot *after* the request payload, and answers with another descriptor.
-Slots are sized and counted so "a request was admitted" and "a slot is
-free" are the same event.
+**Transport.**  Request and response arrays never cross a pipe: submit
+writes each request into a :class:`~repro.comms.shm.ShmRing` slot.  One
+router thread per rank claims a micro-batch of up to ``batch_size``
+same-shape requests already queued (it never waits for stragglers) and
+does one synchronous round trip with its rank's process: the slot list
+goes out over that rank's task queue, the worker predicts the stacked
+batch, writes each response into its slot *after* the request payload,
+and answers on the rank's own response queue.  Slots are sized and
+counted so "a request was admitted" and "a slot is free" are the same
+event.
 
 **Shape-affine routing.**  The first request of a given (C, H, W)
 shape pins that shape to a replica group of ``replicas_per_shape``
-workers (chosen least-loaded); later requests of the same shape stay
-inside the group, each to its least-outstanding member.  Compiled
-execution plans are per-shape, so affinity keeps a shape's traffic on
-workers that have already paid that shape's trace cost instead of
-re-tracing it on all ``procs`` workers.
+ranks (those with the fewest shapes pinned); only the group's router
+threads claim that shape.  Compiled execution plans are per-shape, so
+affinity keeps a shape's traffic on workers that have already paid
+that shape's trace cost instead of re-tracing it on all ``procs``
+workers.
 
 **Admission control.**  ``overload`` picks what happens when
-``queue_depth`` requests are already in flight: ``"block"`` applies
-backpressure like the thread server, ``"reject"`` raises
+``queue_depth`` requests are admitted and unresolved: ``"block"``
+applies backpressure like the thread server, ``"reject"`` raises
 :class:`~repro.serving.server.ServerOverloaded` immediately, and
 ``"degrade"`` first serves new requests through a cheaper fallback
 predictor (eager, coarser tiling — no plan builds, less halo overlap)
-once ``degrade_at`` requests are in flight, then rejects at the full
+once ``degrade_at`` requests are unresolved, then rejects at the full
 ``queue_depth``.  Under open-loop overload the server therefore sheds
 or cheapens load with a bounded p99 instead of letting the queue
-collapse.  Degraded service keeps bit-identity for any request that
-fits one tile (the batched path does not depend on tile size); only
-larger-than-tile requests may differ from the serial reference by
-float reassociation on BLAS backends.
+collapse.  Degraded requests batch apart from normal ones, and degraded
+service keeps bit-identity for any request that fits one tile (the
+batched path does not depend on tile size); only larger-than-tile
+requests may differ from the serial reference by float reassociation
+on BLAS backends.
 
-**Crash recovery.**  A collector thread watches worker liveness.  When
-a worker dies, its task queue is abandoned (never drained by the
-replacement, so stale descriptors cannot be served twice), a fresh
-worker is spawned at the same rank — inheriting the rank's shape
-affinity — and every accepted-but-unresolved request assigned to the
-dead worker is re-dispatched under a **fresh request id**.  Responses
-carrying a retired id are ignored, and a slot is released exactly once
-by the response matching the id currently in flight; because the
-request payload in the slot outlives the crash (responses are written
-after it), the retry computes on byte-identical input and no accepted
-request is ever dropped.
+**Crash recovery.**  A router thread watches its own process while it
+waits for a reply.  When the process dies, the thread abandons both of
+the rank's queues (a half-written reply can never be read), spawns a
+fresh process at the same rank — which keeps the rank's shape affinity
+— and re-sends the same batch, up to ``max_retries`` times.  The
+request payloads in the slots outlive the crash (responses are written
+after them), so the re-sent batch computes on byte-identical input and
+no accepted request is ever dropped.
 
 Every served output is produced by the same ``Predictor.predict`` call
 a serial reference would make, on the exact request bytes the client
@@ -62,23 +64,27 @@ worker crash.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
+import collections
+import contextlib
 import os
 import queue as queue_module
-import threading
-import time
 from collections.abc import Callable, Mapping
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any
 
 import numpy as np
 
+from ..comms.shm import RingClient, ShmRing
 from ..nn.inference import DEFAULT_TILE, Predictor
 from ..nn.module import Module
-from .server import ServerClosed, ServerOverloaded
-from .shm import RingClient, ShmRing
+from .server import (
+    OVERLOAD_POLICIES,
+    ServerClosed,
+    ServerStats,
+    _as_image,
+    _Request,
+    _Server,
+)
 
 __all__ = [
     "ShardedInferenceServer",
@@ -87,169 +93,40 @@ __all__ = [
     "OVERLOAD_POLICIES",
 ]
 
-#: Admission policies for a full cluster (see the module docstring).
-OVERLOAD_POLICIES = ("block", "reject", "degrade")
+#: The sharded server's stats are the one :class:`ServerStats` schema.
+ClusterStats = ServerStats
 
 _JOIN_TIMEOUT_S = 10.0
-_COLLECT_TICK_S = 0.05
+_POLL_S = 0.05
 
 
 class WorkerCrashed(RuntimeError):
     """Raised to a client whose request ran out of crash-retry budget."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ClusterStats:
-    """Aggregate snapshot of a sharded server's request accounting.
-
-    Latency fields mirror :class:`~repro.serving.server.ServerStats`
-    (same p50/p95/p99 + SLO-attainment schema) so thread- and
-    process-based serving report comparably.
-    """
-
-    requests: int
-    rejected: int
-    degraded: int
-    failed: int
-    retried: int
-    respawns: int
-    latency_ms_mean: float
-    latency_ms_p50: float
-    latency_ms_p95: float
-    latency_ms_p99: float
-    latency_ms_max: float
-    slo_ms: float
-    slo_attainment: float
-    wall_s: float
-    throughput_rps: float
-
-    def format(self) -> str:
-        """One-line human rendering of the snapshot."""
-        return (
-            f"{self.requests} requests ({self.rejected} rejected, "
-            f"{self.degraded} degraded, {self.retried} retried, "
-            f"{self.respawns} respawns); {self.throughput_rps:.1f} req/s; "
-            f"latency ms p50 {self.latency_ms_p50:.2f} "
-            f"p95 {self.latency_ms_p95:.2f} p99 {self.latency_ms_p99:.2f}; "
-            f"SLO {self.slo_ms:.0f}ms attainment {self.slo_attainment:.3f}"
-        )
-
-
-class _ClusterAccounting:
-    """Thread-safe counters/latency window behind :meth:`stats`."""
-
-    MAX_SAMPLES = 100_000
-
-    def __init__(self, slo_ms: float) -> None:
-        self._lock = threading.Lock()
-        self._started = time.perf_counter()
-        self.slo_ms = slo_ms
-        self._latencies: list[float] = []
-        self.requests = 0
-        self.rejected = 0
-        self.degraded = 0
-        self.failed = 0
-        self.retried = 0
-        self.respawns = 0
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
-
-    def record_degraded(self) -> None:
-        with self._lock:
-            self.degraded += 1
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retried += 1
-
-    def record_respawn(self) -> None:
-        with self._lock:
-            self.respawns += 1
-
-    def record_done(self, latency_s: float, failed: bool) -> None:
-        with self._lock:
-            self.requests += 1
-            if failed:
-                self.failed += 1
-            else:
-                self._latencies.append(latency_s)
-                if len(self._latencies) > self.MAX_SAMPLES:
-                    del self._latencies[: -self.MAX_SAMPLES]
-
-    def snapshot(self) -> ClusterStats:
-        with self._lock:
-            lat_ms = np.sort(np.asarray(self._latencies)) * 1e3
-            requests, rejected = self.requests, self.rejected
-            degraded, failed = self.degraded, self.failed
-            retried, respawns = self.retried, self.respawns
-            wall = time.perf_counter() - self._started
-        have = len(lat_ms) > 0
-        return ClusterStats(
-            requests=requests,
-            rejected=rejected,
-            degraded=degraded,
-            failed=failed,
-            retried=retried,
-            respawns=respawns,
-            latency_ms_mean=float(lat_ms.mean()) if have else float("nan"),
-            latency_ms_p50=float(np.percentile(lat_ms, 50)) if have else float("nan"),
-            latency_ms_p95=float(np.percentile(lat_ms, 95)) if have else float("nan"),
-            latency_ms_p99=float(np.percentile(lat_ms, 99)) if have else float("nan"),
-            latency_ms_max=float(lat_ms[-1]) if have else float("nan"),
-            slo_ms=self.slo_ms,
-            slo_attainment=float((lat_ms <= self.slo_ms).mean()) if have else float("nan"),
-            wall_s=wall,
-            throughput_rps=requests / wall if wall > 0 else float("nan"),
-        )
-
-
-class _Pending:
-    __slots__ = ("request_id", "slot", "shape", "future", "enqueued_at",
-                 "rank", "degraded", "retries_left")
-
-    def __init__(self, request_id: int, slot: int, shape: tuple[int, ...],
-                 degraded: bool, retries_left: int) -> None:
-        self.request_id = request_id
-        self.slot = slot
-        self.shape = shape
-        self.future: Future = Future()
-        self.enqueued_at = time.perf_counter()
-        self.rank = -1
-        self.degraded = degraded
-        self.retries_left = retries_left
-
-
-class _Worker:
-    __slots__ = ("rank", "process", "task_queue")
-
-    def __init__(self, rank, process, task_queue) -> None:
-        self.rank = rank
-        self.process = process
-        self.task_queue = task_queue
+#: One rank's worker process with its task and response queues.
+_Worker = collections.namedtuple("_Worker", ("process", "tasks", "replies"))
 
 
 def _worker_main(
-    rank: int,
     ring_name: str,
     slots: int,
     slot_bytes: int,
     factory: Callable[[], Module],
     state: Mapping[str, np.ndarray] | None,
     options: dict[str, Any],
-    task_queue,
-    response_queue,
+    tasks,
+    replies,
 ) -> None:
     """Entry point of one spawned shard worker.
 
     Builds its own model replica (factory + optional broadcast
     state_dict — the one startup pickle; request tensors themselves
-    only ever travel through shared memory), then serves descriptors
-    until the ``None`` sentinel.  A ``("crash",)`` descriptor is the
-    fault-injection hook: the worker dies via ``os._exit`` at a point
-    where it holds no queue locks, which is what a segfault mid-GEMM
-    looks like to the router.
+    only ever travel through shared memory), then serves batch
+    descriptors until the ``None`` sentinel.  A ``("crash",)``
+    descriptor is the fault-injection hook: the worker dies via
+    ``os._exit`` at a point where it holds no queue locks, which is
+    what a segfault mid-GEMM looks like to the router.
     """
     client = RingClient(ring_name, slots, slot_bytes)
     model = factory()
@@ -274,32 +151,30 @@ def _worker_main(
         tuned=False,
     )
     while True:
-        item = task_queue.get()
+        item = tasks.get()
         if item is None:
             break
         if item[0] == "crash":
             os._exit(17)
-        _, request_id, slot, shape, serve_degraded = item
+        _, batch_slots, shape, serve_degraded = item
         try:
-            request = client.get_array(slot, 0, shape)
-            served_by = degraded if serve_degraded else predictor
-            output = served_by.predict(request[None])[0]
+            images = np.stack([client.get_array(slot, 0, shape) for slot in batch_slots])
+            outputs = (degraded if serve_degraded else predictor).predict(images)
             offset = client.response_offset(shape)
-            if offset + output.nbytes > slot_bytes:
+            if offset + outputs[0].nbytes > slot_bytes:
                 raise ValueError(
-                    f"response of {output.nbytes} bytes does not fit slot "
+                    f"response of {outputs[0].nbytes} bytes does not fit slot "
                     f"({slot_bytes} bytes, request {offset} bytes); raise slot_bytes"
                 )
-            client.put_array(slot, offset, output)
-            response_queue.put(("ok", rank, request_id, slot, output.shape, None))
+            for slot, output in zip(batch_slots, outputs, strict=True):
+                client.put_array(slot, offset, output)
+            replies.put(("ok", outputs.shape[1:]))
         except Exception as exc:  # worker faults become data, never hangs
-            response_queue.put(
-                ("err", rank, request_id, slot, None, f"{type(exc).__name__}: {exc}")
-            )
+            replies.put(("err", f"{type(exc).__name__}: {exc}"))
     client.close()
 
 
-class ShardedInferenceServer:
+class ShardedInferenceServer(_Server):
     """Multi-process sharded inference with shared-memory transport.
 
     Args:
@@ -315,19 +190,22 @@ class ShardedInferenceServer:
         replicas_per_shape: Size of the replica group a request shape
             is pinned to; larger groups trade plan-cache locality for
             load spreading.
-        queue_depth: Maximum in-flight (admitted, unresolved) requests
-            — also the shared-memory slot count.
+        queue_depth: Maximum admitted, unresolved requests — also the
+            shared-memory slot count.
         slot_bytes: Capacity of one transport slot; must hold one
             request plus its response (float64).
         overload: ``"block"`` / ``"reject"`` / ``"degrade"`` — see the
             module docstring.
-        degrade_at: In-flight level where ``"degrade"`` starts serving
+        degrade_at: Unresolved level where ``"degrade"`` starts serving
             through the fallback predictor (default ``queue_depth//2``).
-        max_retries: Crash re-dispatch budget per request.
-        batch_size / tile / backend / compiled: Forwarded to each
-            worker's :class:`~repro.nn.inference.Predictor`.  ``backend``
-            must be a spec string (backends carry thread pools and
-            locks, which do not pickle).
+        max_retries: How often a batch is re-sent after its worker
+            process died.
+        batch_size: Micro-batch flush threshold, and the forward batch
+            size of each worker's Predictor.
+        tile / backend / compiled: Forwarded to each worker's
+            :class:`~repro.nn.inference.Predictor`.  ``backend`` must be
+            a spec string (backends carry thread pools and locks, which
+            do not pickle).
         degraded_tile: Tile size of the degraded-mode predictor
             (default: twice the normal tile — coarser tiling, less halo
             recompute, and always eager).
@@ -340,8 +218,10 @@ class ShardedInferenceServer:
             ``REPRO_TUNED`` environment flag in each worker process.
 
     The server starts serving on construction and is a context
-    manager; leaving the ``with`` block drains in-flight requests,
-    stops the workers and unlinks the shared-memory segment.
+    manager; leaving the ``with`` block drains admitted requests,
+    stops the workers and unlinks the shared-memory segment.  An
+    aborting :meth:`close` also fails a claimed batch whose process
+    has not answered yet.
     """
 
     def __init__(
@@ -385,9 +265,6 @@ class ShardedInferenceServer:
 
         self.procs = procs
         self.replicas_per_shape = min(replicas_per_shape, procs)
-        self.queue_depth = queue_depth
-        self.overload = overload
-        self.degrade_at = degrade_at if degrade_at is not None else max(1, queue_depth // 2)
         self.max_retries = max_retries
         if tuned is None:
             from ..tune.cache import tuned_enabled
@@ -408,26 +285,20 @@ class ShardedInferenceServer:
         }
         self._factory = model_factory
         self._state = dict(state_dict) if state_dict is not None else None
-        self._stats = _ClusterAccounting(slo_ms=slo_ms)
         self._ring = ShmRing(slots=queue_depth, slot_bytes=slot_bytes)
         self._context = spawn_context()
-        self._responses = self._context.Queue()
-        self._lock = threading.Lock()
-        self._space = threading.Condition(self._lock)
-        self._drained = threading.Condition(self._lock)
-        self._ids = itertools.count()
-        self._inflight: dict[int, _Pending] = {}
-        self._outstanding = [0] * procs
         self._shapes_pinned = [0] * procs
         self._affinity: dict[tuple[int, ...], list[int]] = {}
-        self._closing = False
-        self._stopping = False
-        self._closed = False
         self._workers = [self._spawn_worker(rank) for rank in range(procs)]
-        self._collector = threading.Thread(
-            target=self._collector_loop, name="repro-cluster-collector", daemon=True
+        super().__init__(
+            ranks=procs,
+            batch_limit=batch_size,
+            max_wait_s=0.0,
+            queue_depth=queue_depth,
+            overload=overload,
+            degrade_at=degrade_at if degrade_at is not None else max(1, queue_depth // 2),
+            slo_ms=slo_ms,
         )
-        self._collector.start()
 
     # ------------------------------------------------------------------
     # client side
@@ -436,293 +307,138 @@ class ShardedInferenceServer:
         """Enqueue one (C, H, W) image; returns a future for its output.
 
         Admission follows the ``overload`` policy; a ``"block"`` submit
-        raises :class:`ServerOverloaded` only if ``timeout`` elapses
-        with the cluster still full.
+        raises :class:`~repro.serving.server.ServerOverloaded` only if
+        ``timeout`` elapses with the cluster still full.
         """
-        image = np.asarray(getattr(image, "data", image), dtype=np.float64)
-        if image.ndim != 3:
-            raise ValueError(f"expected one (C, H, W) image, got shape {image.shape}")
+        image = _as_image(image)
         if 2 * image.nbytes > self._ring.slot_bytes:
             raise ValueError(
                 f"request of {image.nbytes} bytes cannot share a "
                 f"{self._ring.slot_bytes}-byte slot with its response; raise slot_bytes"
             )
-        deadline = None if timeout is None else time.perf_counter() + timeout
+        request = _Request(image.shape)
         with self._lock:
-            degraded = self._admit_locked(deadline, timeout)
-            slot = self._ring.acquire(timeout=0.0)
+            self._enqueue_locked(request, timeout)
+            request.slot = self._ring.acquire(timeout=0.0)
             # Admission == slot availability by construction (slots ==
-            # queue_depth == max in-flight), so this cannot be None.
-            assert slot is not None
-            pending = _Pending(
-                request_id=next(self._ids),
-                slot=slot,
-                shape=image.shape,
-                degraded=degraded,
-                retries_left=self.max_retries,
-            )
-            self._inflight[pending.request_id] = pending
-            # Payload before descriptor, descriptor under the lock:
-            # dispatch must be atomic with routing so the crash handler
-            # (also under the lock) sees every descriptor it may need
-            # to re-dispatch, and stale queues are never fed.
-            self._ring.put_array(slot, 0, image)
-            self._dispatch_locked(pending)
-        if degraded:
-            self._stats.record_degraded()
-        return pending.future
-
-    def predict(self, image: np.ndarray, timeout: float | None = None) -> np.ndarray:
-        """Blocking convenience: submit one image and wait for its output."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        future = self.submit(image, timeout=timeout)
-        remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-        try:
-            return future.result(remaining)
-        except FutureTimeoutError:
-            future.cancel()  # a no-op once running; sheds never-claimed work
-            raise
-
-    def pending(self) -> int:
-        """Admitted requests not yet resolved."""
-        with self._lock:
-            return len(self._inflight)
-
-    def stats(self) -> ClusterStats:
-        """Aggregate latency/throughput/overload snapshot."""
-        return self._stats.snapshot()
+            # queue_depth == max unresolved), so this cannot be None.
+            assert request.slot is not None
+            self._ring.put_array(request.slot, 0, image)
+            request.ranks = self._route_locked(image.shape)
+        return request.future
 
     def workers_alive(self) -> int:
-        """Live worker processes (respawns keep this at ``procs``)."""
+        """Live worker processes (a dead one respawns at its next batch)."""
         with self._lock:
             return sum(1 for worker in self._workers if worker.process.is_alive())
 
     def inject_worker_crash(self, rank: int = 0) -> None:
         """Fault injection: make worker ``rank`` die at its next dequeue.
 
-        The crash descriptor queues behind any work already dispatched
-        to that worker, which is exactly the hard case recovery must
-        handle: accepted requests queued behind (or running on) the
-        dying worker get re-dispatched, never dropped.
+        The crash descriptor queues behind any batch already sent to
+        that worker, so the next batch the rank sends lands on a dying
+        process: recovery must re-send it, never drop it.
         """
         with self._lock:
-            if self._stopping:
+            if self._closing:
                 raise ServerClosed("server is shutting down")
-            self._workers[rank].task_queue.put(("crash",))
+            self._workers[rank].tasks.put(("crash",))
 
-    # ------------------------------------------------------------------
-    # admission + routing (callers hold self._lock)
-    # ------------------------------------------------------------------
-    def _admit_locked(self, deadline: float | None, timeout: float | None) -> bool:
-        """Apply the overload policy; returns whether to serve degraded."""
-        if self._closing:
-            raise ServerClosed("server is shutting down")
-        if self.overload == "block":
-            while len(self._inflight) >= self.queue_depth:
-                remaining = None if deadline is None else deadline - time.perf_counter()
-                if remaining is not None and remaining <= 0:
-                    self._stats.record_rejected()
-                    raise ServerOverloaded(
-                        f"no admission within {timeout:.3f}s "
-                        f"({self.queue_depth} requests in flight)"
-                    )
-                self._space.wait(remaining)
-                if self._closing:
-                    raise ServerClosed("server is shutting down")
-            return False
-        if len(self._inflight) >= self.queue_depth:
-            self._stats.record_rejected()
-            raise ServerOverloaded(f"{self.queue_depth} requests in flight")
-        return self.overload == "degrade" and len(self._inflight) >= self.degrade_at
-
-    def _route_locked(self, shape: tuple[int, ...]) -> int:
-        """Shape-affine routing: pin a shape to a replica group once,
-        then pick the group's least-outstanding live member."""
+    def _route_locked(self, shape: tuple[int, ...]) -> list[int]:
+        """Shape-affine routing: pin a shape to a replica group once."""
         group = self._affinity.get(shape)
         if group is None:
-            by_load = sorted(
-                range(self.procs),
-                key=lambda rank: (self._shapes_pinned[rank], self._outstanding[rank], rank),
-            )
+            by_load = sorted(range(self.procs), key=lambda rank: (self._shapes_pinned[rank], rank))
             group = by_load[: self.replicas_per_shape]
             self._affinity[shape] = group
             for rank in group:
                 self._shapes_pinned[rank] += 1
-        live = [rank for rank in group if self._workers[rank].process.is_alive()]
-        candidates = live or group  # a dead rank respawns at the same rank
-        return min(candidates, key=lambda rank: (self._outstanding[rank], rank))
+        return group
 
-    def _dispatch_locked(self, pending: _Pending) -> None:
-        rank = self._route_locked(pending.shape)
-        pending.rank = rank
-        self._outstanding[rank] += 1
-        self._workers[rank].task_queue.put(
-            ("req", pending.request_id, pending.slot, pending.shape, pending.degraded)
-        )
+    # ------------------------------------------------------------------
+    # router side
+    # ------------------------------------------------------------------
+    def _run_batch(self, rank: int, batch: list[_Request]) -> list[np.ndarray]:
+        first = batch[0]
+        task = ("batch", [request.slot for request in batch], first.shape, first.degraded)
+        for attempt in range(self.max_retries + 1):
+            if attempt:
+                self._stats.count("retried", len(batch))
+            reply = self._round_trip(rank, task)
+            if reply is not None:
+                break
+        else:
+            raise WorkerCrashed(
+                f"worker crashed {self.max_retries + 1} times serving this request"
+            )
+        kind, detail = reply
+        if kind != "ok":
+            raise RuntimeError(f"shard worker {rank}: {detail}")
+        offset = self._ring.response_offset(first.shape)
+        return [self._ring.get_array(request.slot, offset, detail) for request in batch]
+
+    def _round_trip(self, rank: int, task: tuple) -> tuple | None:
+        """Send one batch to ``rank``'s process and wait for its reply
+        (None: the process died first, and has been respawned)."""
+        worker = self._workers[rank]
+        worker.tasks.put(task)
+        while True:
+            with contextlib.suppress(queue_module.Empty):
+                return worker.replies.get(timeout=_POLL_S)
+            if self._aborting:
+                raise ServerClosed("server closed")
+            if not worker.process.is_alive():
+                self._respawn(rank)
+                return None
 
     def _spawn_worker(self, rank: int) -> _Worker:
-        task_queue = self._context.Queue()
+        tasks, replies = self._context.Queue(), self._context.Queue()
         process = self._context.Process(
             target=_worker_main,
             args=(
-                rank,
                 self._ring.name,
                 self._ring.slots,
                 self._ring.slot_bytes,
                 self._factory,
                 self._state,
                 self._worker_options,
-                task_queue,
-                self._responses,
+                tasks,
+                replies,
             ),
             name=f"repro-shard-{rank}",
             daemon=True,
         )
         process.start()
-        return _Worker(rank, process, task_queue)
+        return _Worker(process, tasks, replies)
 
-    # ------------------------------------------------------------------
-    # collector side
-    # ------------------------------------------------------------------
-    def _collector_loop(self) -> None:
-        while True:
+    def _respawn(self, rank: int) -> None:
+        with self._lock:
+            _abandon(self._workers[rank])
+            self._workers[rank] = self._spawn_worker(rank)
+        self._stats.count("respawns")
+
+    def _retire_locked(self, request: _Request) -> None:
+        super()._retire_locked(request)
+        self._ring.release(request.slot)
+
+    def _shutdown(self) -> None:
+        """Stop the worker processes and unlink shared memory."""
+        for worker in self._workers:
             try:
-                item = self._responses.get(timeout=_COLLECT_TICK_S)
-            except queue_module.Empty:
-                item = None
-            except (OSError, ValueError):  # queue torn down during close
-                return
-            if item is not None:
-                self._handle_response(item)
-                continue  # drain responses before liveness checks
-            if self._stopping:
-                return
-            self._recover_dead_workers()
-
-    def _handle_response(self, item: tuple) -> None:
-        kind, rank, request_id, slot, out_shape, error = item
-        with self._lock:
-            pending = self._inflight.get(request_id)
-            if pending is None:
-                # Retired id: a crash-retry superseded this dispatch, or
-                # the request was failed at abort.  The live retry's
-                # response (same request bytes, same output bytes) is
-                # the one that resolves and frees the slot.
-                return
-            if kind == "ok":
-                offset = self._ring.response_offset(pending.shape)
-                output = self._ring.get_array(slot, offset, out_shape)
-            del self._inflight[request_id]
-            self._outstanding[rank] = max(0, self._outstanding[rank] - 1)
-            self._ring.release(slot)
-            self._space.notify_all()
-            if not self._inflight:
-                self._drained.notify_all()
-        latency = time.perf_counter() - pending.enqueued_at
-        if pending.future.set_running_or_notify_cancel():
-            if kind == "ok":
-                pending.future.set_result(output)
-            else:
-                pending.future.set_exception(RuntimeError(f"shard worker {rank}: {error}"))
-        self._stats.record_done(latency, failed=kind != "ok")
-
-    def _recover_dead_workers(self) -> None:
-        crashed: list[_Pending] = []
-        with self._lock:
-            if self._stopping or self._closed:
-                return
-            for rank in range(self.procs):
-                worker = self._workers[rank]
-                if worker.process.is_alive() or worker.process.exitcode is None:
-                    continue
-                # Dead.  Abandon its queue (stale descriptors must never
-                # be served twice), respawn at the same rank so shape
-                # affinity keeps pointing somewhere live, re-dispatch
-                # its accepted work under fresh ids.
-                worker.task_queue.close()
-                worker.task_queue.cancel_join_thread()
-                self._stats.record_respawn()
-                self._workers[rank] = self._spawn_worker(rank)
-                self._outstanding[rank] = 0
-                victims = [p for p in self._inflight.values() if p.rank == rank]
-                for pending in victims:
-                    del self._inflight[pending.request_id]
-                    if pending.retries_left <= 0:
-                        self._ring.release(pending.slot)
-                        self._space.notify_all()
-                        crashed.append(pending)
-                        continue
-                    pending.retries_left -= 1
-                    pending.request_id = next(self._ids)
-                    self._inflight[pending.request_id] = pending
-                    self._stats.record_retry()
-                    self._dispatch_locked(pending)
-                if not self._inflight:
-                    self._drained.notify_all()
-        for pending in crashed:
-            if pending.future.set_running_or_notify_cancel():
-                pending.future.set_exception(
-                    WorkerCrashed(
-                        f"worker crashed {self.max_retries + 1} times serving this request"
-                    )
-                )
-            self._stats.record_done(
-                time.perf_counter() - pending.enqueued_at, failed=True
-            )
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self, drain: bool = True, timeout: float | None = None) -> None:
-        """Stop accepting work, stop the workers, unlink shared memory.
-
-        Args:
-            drain: Resolve in-flight requests first (default); when
-                False, fail them with :class:`ServerClosed`.
-            timeout: Bound on the drain wait (then per-worker joins are
-                separately bounded); ``None`` waits for the drain.
-        """
-        aborted: list[_Pending] = []
-        with self._lock:
-            if self._closed:
-                return
-            self._closing = True
-            self._space.notify_all()
-            if drain:
-                self._drained.wait_for(lambda: not self._inflight, timeout=timeout)
-            else:
-                aborted = list(self._inflight.values())
-                self._inflight.clear()
-                for pending in aborted:
-                    self._ring.release(pending.slot)
-                self._drained.notify_all()
-            self._stopping = True
-            workers = list(self._workers)
-        for pending in aborted:
-            if pending.future.set_running_or_notify_cancel():
-                pending.future.set_exception(ServerClosed("server closed"))
-        for worker in workers:
-            try:
-                worker.task_queue.put(None)
+                worker.tasks.put(None)
             except (OSError, ValueError):  # already torn down with its worker
                 pass
-        for worker in workers:
+        for worker in self._workers:
             worker.process.join(_JOIN_TIMEOUT_S)
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(_JOIN_TIMEOUT_S)
-        self._collector.join(_JOIN_TIMEOUT_S + 1.0)
-        for worker in workers:
-            worker.task_queue.close()
-            worker.task_queue.cancel_join_thread()
-        self._responses.close()
-        self._responses.cancel_join_thread()
+            _abandon(worker)
         self._ring.destroy()
-        with self._lock:
-            self._closed = True
 
-    def __enter__(self) -> "ShardedInferenceServer":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close(drain=True)
+def _abandon(worker: _Worker) -> None:
+    """Close a worker's queues without waiting to flush them."""
+    for channel in (worker.tasks, worker.replies):
+        channel.close()
+        channel.cancel_join_thread()

@@ -32,6 +32,7 @@ import time
 import numpy as np
 
 from ..nn.inference import Predictor
+from .cluster import ShardedInferenceServer
 from .server import InferenceServer, ServerOverloaded
 
 __all__ = [
@@ -89,9 +90,10 @@ class LoadResult:
     """Outcome of one closed-loop run.
 
     Carries the same latency schema (p50/p95/p99 + SLO attainment) as
-    :class:`~repro.serving.server.ServerStats` and the cluster's
-    :class:`~repro.serving.cluster.ClusterStats`, so thread- and
-    process-served runs report comparably.
+    :class:`~repro.serving.server.ServerStats`, the one stats snapshot
+    of both :class:`~repro.serving.server.InferenceServer` and
+    :class:`~repro.serving.cluster.ShardedInferenceServer`, so thread-
+    and process-served runs report comparably.
     """
 
     outputs: tuple[tuple[np.ndarray, ...], ...]  # outputs[c][k]
@@ -143,7 +145,9 @@ def _collect(
     )
 
 
-def run_closed_loop(server: InferenceServer, workload: Workload) -> LoadResult:
+def run_closed_loop(
+    server: InferenceServer | ShardedInferenceServer, workload: Workload
+) -> LoadResult:
     """Drive ``server`` with one thread per client, closed-loop."""
     clients = workload.clients
     outputs: list[list[np.ndarray | None]] = [

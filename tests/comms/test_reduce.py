@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.comms.shm
-import repro.serving.shm
 from repro.comms import flatten_arrays, tree_reduce, unflatten_into
 
 
@@ -85,11 +83,3 @@ class TestFlatten:
     def test_empty_lists_flatten_to_empty_vector(self):
         assert flatten_arrays([], like=[]).shape == (0,)
 
-
-class TestServingShim:
-    def test_serving_shm_reexports_the_comms_classes(self):
-        # The hoist kept repro.serving.shm as a pure alias: one class,
-        # one hygiene ledger, two import paths.
-        assert repro.serving.shm.ShmRing is repro.comms.shm.ShmRing
-        assert repro.serving.shm.RingClient is repro.comms.shm.RingClient
-        assert repro.serving.shm.active_segments is repro.comms.shm.active_segments

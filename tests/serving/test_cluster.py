@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +107,32 @@ class TestCrashRecovery:
             output = server.submit(image).result(120)
             assert server.stats().retried >= 1
         assert np.array_equal(output, serial_predictor.predict(image[None])[0])
+
+
+class TestMicroBatching:
+    def test_queued_same_shape_requests_share_a_round_trip(self, serial_predictor):
+        # Submitted back to back while the worker is still spawning, so
+        # the router finds requests queued behind its first batch.
+        images = [_images(1, seed=seed)[0] for seed in range(12)]
+        with ShardedInferenceServer(FACTORY, procs=1, batch_size=4) as server:
+            futures = [server.submit(image) for image in images]
+            outputs = [future.result(120) for future in futures]
+            stats = server.stats()
+        assert stats.requests == 12 and stats.failed == 0
+        assert stats.batches < 12
+        assert stats.max_batch_size <= 4
+        _assert_bit_identical(outputs, images, serial_predictor)
+
+    def test_batch_is_resent_after_crash(self, serial_predictor):
+        images = [_images(1, seed=seed)[0] for seed in range(6)]
+        with ShardedInferenceServer(FACTORY, procs=1, batch_size=4) as server:
+            server.inject_worker_crash(0)
+            futures = [server.submit(image) for image in images]
+            outputs = [future.result(120) for future in futures]
+            stats = server.stats()
+        assert stats.retried >= 1 and stats.failed == 0
+        _assert_bit_identical(outputs, images, serial_predictor)
+        assert active_segments() == []
 
 
 class TestAdmission:
@@ -240,6 +267,22 @@ class TestRoutingAndStats:
         server_fields = {f.name for f in dataclasses.fields(ServerStats)}
         assert shared <= cluster_fields
         assert shared <= server_fields
+
+    def test_wall_clock_starts_at_first_admission(self):
+        # Worker spawn and idle time before the first request are not
+        # serving time: they would deflate throughput_rps.
+        images = _images(3)
+        with ShardedInferenceServer(FACTORY, procs=1, queue_depth=4) as server:
+            time.sleep(0.3)
+            idle = server.stats()
+            started = time.perf_counter()
+            for image in images:
+                server.predict(image, timeout=120)
+            stats = server.stats()
+            window = time.perf_counter() - started
+        assert idle.wall_s == 0.0 and np.isnan(idle.throughput_rps)
+        assert stats.requests == 3
+        assert 0.0 < stats.wall_s <= window + 0.05
 
     def test_stats_format_mentions_slo(self):
         with ShardedInferenceServer(FACTORY, procs=1, queue_depth=2) as server:

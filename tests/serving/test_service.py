@@ -1,5 +1,6 @@
 """Tests for the concurrent micro-batching inference service."""
 
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -267,6 +268,41 @@ class TestBackpressure:
                 future.result(timeout=10)
             assert server.stats().requests == 6
 
+    def test_admission_count_is_exact_after_contention(self):
+        """The admitted-unresolved count must survive many clients, more
+        workers than cores and a short switch interval: afterwards the
+        server admits exactly ``queue_depth`` requests, no more, no less."""
+        model = SlowIdentity()
+        depth = 8
+        results: list[bool] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with InferenceServer(
+                model, workers=4, max_batch=3, max_wait_ms=0.5, queue_depth=depth
+            ) as server:
+
+                def client(seed: int) -> None:
+                    for k in range(25):
+                        image = np.full((1, 4, 4), float(100 * seed + k))
+                        results.append(np.array_equal(server.predict(image, timeout=30), image))
+
+                clients = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in clients)
+                model.delay_s = 0.5  # hold every admitted request unresolved
+                futures = [server.submit(np.zeros((1, 4, 4)), timeout=0) for _ in range(depth)]
+                with pytest.raises(ServerOverloaded):
+                    server.submit(np.zeros((1, 4, 4)), timeout=0)
+                for future in futures:
+                    future.result(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 200 and all(results)
+
 
 class TestShutdown:
     def test_drain_completes_pending_work(self):
@@ -366,6 +402,21 @@ class TestErrorsAndStats:
         assert stats.throughput_rps > 0
         assert stats.latency_ms_p50 <= stats.latency_ms_p95 <= stats.latency_ms_max
         assert "req/s" in stats.format()
+
+    def test_wall_clock_starts_at_first_admission(self):
+        # Idle time before the first request is not serving time: it
+        # would deflate throughput_rps.
+        with InferenceServer(SlowIdentity(), workers=1) as server:
+            time.sleep(0.3)
+            idle = server.stats()
+            started = time.perf_counter()
+            for value in range(3):
+                server.predict(np.full((1, 4, 4), float(value)), timeout=10)
+            stats = server.stats()
+            window = time.perf_counter() - started
+        assert idle.wall_s == 0.0 and np.isnan(idle.throughput_rps)
+        assert stats.requests == 3
+        assert 0.0 < stats.wall_s <= window + 0.05
 
 
 class RefusingServer:
