@@ -46,10 +46,11 @@ import time
 from collections.abc import Sequence
 from typing import Any
 
+from repro.comms import spawn_context
 from repro.nn import backend as nn_backend
 
 from . import artifacts, registry
-from .spawn import ensure_registered, export_env, spawn_context
+from .spawn import ensure_registered, export_env
 
 __all__ = ["build_parser", "run_one", "main"]
 

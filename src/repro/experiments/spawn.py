@@ -1,14 +1,12 @@
-"""Spawn-worker plumbing shared by the CLI and the serving cluster.
+"""Spawn-worker plumbing for experiment workers.
 
 Every multi-process feature in the repo — ``python -m repro run
---jobs N`` (PR 2) and the process-sharded inference cluster
-(:mod:`repro.serving.cluster`) — uses the same three ingredients, and
-they live here so no caller re-implements them:
+--jobs N``, the process-sharded inference cluster and the
+data-parallel trainer — starts workers from the spawn context
+(:func:`repro.comms.spawn_context`; the two engines go through
+:class:`repro.comms.WorkerPool`).  What they must agree on beyond that
+lives here, so no caller re-implements it:
 
-* **Spawn, never fork.**  :func:`spawn_context` returns the
-  ``multiprocessing`` spawn context, so workers start from identical
-  fresh-interpreter state on every platform (fork would clone thread
-  locks, open BLAS pools and the parent's RNG mid-state).
 * **Environment inheritance.**  Spawned children inherit
   ``os.environ``, which is how process-wide knobs (``REPRO_BACKEND``,
   ``REPRO_WARM_START``, ``REPRO_WEIGHTS_DIR``) reach workers without
@@ -28,23 +26,10 @@ registry.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.context
 import os
 import zlib
 
-__all__ = ["spawn_context", "ensure_registered", "export_env", "worker_seed"]
-
-
-def spawn_context() -> multiprocessing.context.SpawnContext:
-    """The multiprocessing spawn context every repro worker pool uses.
-
-    Spawn (not fork) so workers start from identical interpreter state
-    on every platform; deterministic behavior then comes from explicit
-    seeding (:func:`worker_seed`, :meth:`Experiment.seed_for`), not from
-    accidentally inherited parent state.
-    """
-    return multiprocessing.get_context("spawn")
+__all__ = ["ensure_registered", "export_env", "worker_seed"]
 
 
 def ensure_registered() -> None:

@@ -26,6 +26,7 @@ import numpy as np
 from ..models.ernet import dn_ernet_pu
 from ..nn.inference import Predictor
 from ..nn.module import Module
+from .cluster import ShardedInferenceServer
 from .loadgen import (
     LoadResult,
     make_poisson_trace,
@@ -147,6 +148,11 @@ def _row(backend: str, mode: str, result: LoadResult, extra: dict | None = None)
 # ----------------------------------------------------------------------
 # process-sharded serving bench
 # ----------------------------------------------------------------------
+#: The overload replay offers this multiple of the 1-proc closed-loop
+#: throughput measured in the same run, so it overloads on any host.
+OVERLOAD_FACTOR = 1.5
+
+
 @dataclasses.dataclass(frozen=True)
 class ShardedBenchConfig:
     """Knobs for one :func:`run_sharded_bench` run.
@@ -154,9 +160,9 @@ class ShardedBenchConfig:
     The closed-loop phase compares proc counts in ``procs`` (each run
     serves the same seeded mixed-shape workload, checked bit-identical
     against a serial Predictor); the open-loop phase replays a Poisson
-    trace at ``overload_rate_rps`` against a deliberately small cluster
-    to exercise the ``overload_policy`` (rejections/degrades, tail
-    latency).
+    trace at :data:`OVERLOAD_FACTOR` times the 1-proc closed-loop
+    throughput against a deliberately small cluster to exercise the
+    ``overload_policy`` (rejections/degrades, tail latency).
     """
 
     clients: int = 8
@@ -169,7 +175,6 @@ class ShardedBenchConfig:
     seed: int = 0
     compiled: bool = False
     tuned: bool = False
-    overload_rate_rps: float = 40.0
     overload_requests: int = 48
     overload_policy: str = "degrade"
     overload_queue_depth: int = 4
@@ -214,7 +219,7 @@ class ShardedBenchReport:
                 lines.append(f"  {procs} procs vs 1: {self.speedup(procs):.2f}x throughput")
         over = self.overload
         lines.append(
-            f"  overload ({cfg.overload_policy} @ {cfg.overload_rate_rps:.0f} req/s): "
+            f"  overload ({cfg.overload_policy} @ {over['offered_rps']:.0f} req/s): "
             f"{over['completed']} completed, {over['rejected']} rejected, "
             f"{over['degraded']} degraded; p99 {over['latency_ms_p99']:.1f} ms, "
             f"SLO {cfg.slo_ms:.0f}ms attainment {over['slo_attainment']:.3f}"
@@ -233,10 +238,6 @@ def run_sharded_bench(config: ShardedBenchConfig) -> ShardedBenchReport:
     so the bit-identity verdict covers shape-affine routing and
     cross-process transport, not just a single shape.
     """
-    # Imported here so `repro.serving` stays importable without the
-    # experiments package (the cluster pulls in spawn helpers lazily too).
-    from .cluster import ShardedInferenceServer
-
     if 1 not in config.procs:
         raise ValueError("procs must include 1 (the sharding speedup baseline)")
     size = config.image_size
@@ -286,8 +287,9 @@ def run_sharded_bench(config: ShardedBenchConfig) -> ShardedBenchReport:
                 "respawns": stats.respawns,
             }
         )
+    rate = OVERLOAD_FACTOR * next(row for row in rows if row["procs"] == 1)["throughput_rps"]
     trace = make_poisson_trace(
-        config.overload_rate_rps,
+        rate,
         config.overload_requests,
         shapes,
         seed=config.seed + 1,

@@ -2,14 +2,18 @@
 
 :class:`ShardedInferenceServer` is the multi-core sibling of the
 thread-based :class:`~repro.serving.server.InferenceServer`: a pool of
-**spawned worker processes** (PR 2's spawn discipline, via
-:mod:`repro.experiments.spawn`), each hosting its own
-:class:`~repro.nn.inference.Predictor` — or
+**spawned worker processes** (:class:`repro.comms.WorkerPool`), each
+hosting its own :class:`~repro.nn.inference.Predictor` — or
 :class:`~repro.nn.inference.CompiledPredictor` — replica of one model,
 so GEMM-bound requests run on separate interpreters instead of
 contending for one GIL.  Admission, shape-bucketed micro-batching,
 futures, shutdown and stats are the serving core both servers share;
 only where a batch runs differs.
+
+**Startup.**  Construction returns once every worker has built its
+replica and answered the pool's ready handshake, so the first request
+never waits for a spawn, and a factory that fails raises from the
+constructor (with the shared-memory segment already unlinked).
 
 **Transport.**  Request and response arrays never cross a pipe: submit
 writes each request into a :class:`~repro.comms.shm.ShmRing` slot.  One
@@ -46,10 +50,10 @@ requests may differ from the serial reference by float reassociation
 on BLAS backends.
 
 **Crash recovery.**  A router thread watches its own process while it
-waits for a reply.  When the process dies, the thread abandons both of
-the rank's queues (a half-written reply can never be read), spawns a
-fresh process at the same rank — which keeps the rank's shape affinity
-— and re-sends the same batch, up to ``max_retries`` times.  The
+waits for a reply.  When the process dies, the thread has the pool
+respawn the rank — abandoning both of its queues, so a half-written
+reply can never be read; the same rank keeps its shape affinity — and
+re-sends the same batch, up to ``max_retries`` times.  The
 request payloads in the slots outlive the crash (responses are written
 after them), so the re-sent batch computes on byte-identical input and
 no accepted request is ever dropped.
@@ -64,16 +68,13 @@ worker crash.
 
 from __future__ import annotations
 
-import collections
-import contextlib
-import os
-import queue as queue_module
 from collections.abc import Callable, Mapping
 from concurrent.futures import Future
 from typing import Any
 
 import numpy as np
 
+from ..comms.pool import WorkerDied, WorkerPool
 from ..comms.shm import RingClient, ShmRing
 from ..nn.inference import DEFAULT_TILE, Predictor
 from ..nn.module import Module
@@ -96,37 +97,26 @@ __all__ = [
 #: The sharded server's stats are the one :class:`ServerStats` schema.
 ClusterStats = ServerStats
 
-_JOIN_TIMEOUT_S = 10.0
-_POLL_S = 0.05
-
 
 class WorkerCrashed(RuntimeError):
     """Raised to a client whose request ran out of crash-retry budget."""
 
 
-#: One rank's worker process with its task and response queues.
-_Worker = collections.namedtuple("_Worker", ("process", "tasks", "replies"))
-
-
-def _worker_main(
+def _shard_setup(
+    _rank: int,
     ring_name: str,
     slots: int,
     slot_bytes: int,
     factory: Callable[[], Module],
     state: Mapping[str, np.ndarray] | None,
     options: dict[str, Any],
-    tasks,
-    replies,
-) -> None:
-    """Entry point of one spawned shard worker.
+) -> Callable[[tuple], tuple[int, ...]]:
+    """Build one shard worker's model replica; return its batch handler.
 
-    Builds its own model replica (factory + optional broadcast
-    state_dict — the one startup pickle; request tensors themselves
-    only ever travel through shared memory), then serves batch
-    descriptors until the ``None`` sentinel.  A ``("crash",)``
-    descriptor is the fault-injection hook: the worker dies via
-    ``os._exit`` at a point where it holds no queue locks, which is
-    what a segfault mid-GEMM looks like to the router.
+    Runs in the spawned worker: factory + optional broadcast state_dict
+    (the one startup pickle — request tensors themselves only ever
+    travel through shared memory).  The handler serves one
+    ``(slots, shape, degraded)`` batch and answers the output shape.
     """
     client = RingClient(ring_name, slots, slot_bytes)
     model = factory()
@@ -150,28 +140,22 @@ def _worker_main(
         backend=options["backend"],
         tuned=False,
     )
-    while True:
-        item = tasks.get()
-        if item is None:
-            break
-        if item[0] == "crash":
-            os._exit(17)
-        _, batch_slots, shape, serve_degraded = item
-        try:
-            images = np.stack([client.get_array(slot, 0, shape) for slot in batch_slots])
-            outputs = (degraded if serve_degraded else predictor).predict(images)
-            offset = client.response_offset(shape)
-            if offset + outputs[0].nbytes > slot_bytes:
-                raise ValueError(
-                    f"response of {outputs[0].nbytes} bytes does not fit slot "
-                    f"({slot_bytes} bytes, request {offset} bytes); raise slot_bytes"
-                )
-            for slot, output in zip(batch_slots, outputs, strict=True):
-                client.put_array(slot, offset, output)
-            replies.put(("ok", outputs.shape[1:]))
-        except Exception as exc:  # worker faults become data, never hangs
-            replies.put(("err", f"{type(exc).__name__}: {exc}"))
-    client.close()
+
+    def handle(task: tuple) -> tuple[int, ...]:
+        batch_slots, shape, serve_degraded = task
+        images = np.stack([client.get_array(slot, 0, shape) for slot in batch_slots])
+        outputs = (degraded if serve_degraded else predictor).predict(images)
+        offset = client.response_offset(shape)
+        if offset + outputs[0].nbytes > slot_bytes:
+            raise ValueError(
+                f"response of {outputs[0].nbytes} bytes does not fit slot "
+                f"({slot_bytes} bytes, request {offset} bytes); raise slot_bytes"
+            )
+        for slot, output in zip(batch_slots, outputs, strict=True):
+            client.put_array(slot, offset, output)
+        return outputs.shape[1:]
+
+    return handle
 
 
 class ShardedInferenceServer(_Server):
@@ -217,11 +201,12 @@ class ShardedInferenceServer(_Server):
             are identical either way.  When omitted, follows the
             ``REPRO_TUNED`` environment flag in each worker process.
 
-    The server starts serving on construction and is a context
-    manager; leaving the ``with`` block drains admitted requests,
-    stops the workers and unlinks the shared-memory segment.  An
-    aborting :meth:`close` also fails a claimed batch whose process
-    has not answered yet.
+    Construction returns once every worker is ready (a factory that
+    raises in a worker raises :class:`RuntimeError` here).  The server
+    then serves at once and is a context manager; leaving the ``with``
+    block drains admitted requests, stops the workers and unlinks the
+    shared-memory segment.  An aborting :meth:`close` also fails a
+    claimed batch whose process has not answered yet.
     """
 
     def __init__(
@@ -259,10 +244,6 @@ class ShardedInferenceServer(_Server):
             )
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        # Deferred import: repro.experiments is heavier than the serving
-        # stack; only cluster construction pays for it.
-        from ..experiments.spawn import spawn_context
-
         self.procs = procs
         self.replicas_per_shape = min(replicas_per_shape, procs)
         self.max_retries = max_retries
@@ -271,7 +252,7 @@ class ShardedInferenceServer(_Server):
 
             tuned = tuned_enabled()
         self.tuned = tuned
-        self._worker_options = {
+        options = {
             "batch_size": batch_size,
             "tile": tile,
             "backend": backend,
@@ -283,13 +264,20 @@ class ShardedInferenceServer(_Server):
                 else 2 * (tile if tile is not None else DEFAULT_TILE)
             ),
         }
-        self._factory = model_factory
-        self._state = dict(state_dict) if state_dict is not None else None
+        state = dict(state_dict) if state_dict is not None else None
         self._ring = ShmRing(slots=queue_depth, slot_bytes=slot_bytes)
-        self._context = spawn_context()
+        try:
+            self._pool = WorkerPool(
+                "repro-shard",
+                procs,
+                _shard_setup,
+                (self._ring.name, queue_depth, slot_bytes, model_factory, state, options),
+            )
+        except BaseException:
+            self._ring.destroy()
+            raise
         self._shapes_pinned = [0] * procs
         self._affinity: dict[tuple[int, ...], list[int]] = {}
-        self._workers = [self._spawn_worker(rank) for rank in range(procs)]
         super().__init__(
             ranks=procs,
             batch_limit=batch_size,
@@ -330,7 +318,7 @@ class ShardedInferenceServer(_Server):
     def workers_alive(self) -> int:
         """Live worker processes (a dead one respawns at its next batch)."""
         with self._lock:
-            return sum(1 for worker in self._workers if worker.process.is_alive())
+            return self._pool.alive()
 
     def inject_worker_crash(self, rank: int = 0) -> None:
         """Fault injection: make worker ``rank`` die at its next dequeue.
@@ -342,7 +330,7 @@ class ShardedInferenceServer(_Server):
         with self._lock:
             if self._closing:
                 raise ServerClosed("server is shutting down")
-            self._workers[rank].tasks.put(("crash",))
+            self._pool.crash(rank)
 
     def _route_locked(self, shape: tuple[int, ...]) -> list[int]:
         """Shape-affine routing: pin a shape to a replica group once."""
@@ -360,62 +348,26 @@ class ShardedInferenceServer(_Server):
     # ------------------------------------------------------------------
     def _run_batch(self, rank: int, batch: list[_Request]) -> list[np.ndarray]:
         first = batch[0]
-        task = ("batch", [request.slot for request in batch], first.shape, first.degraded)
+        task = ([request.slot for request in batch], first.shape, first.degraded)
         for attempt in range(self.max_retries + 1):
             if attempt:
                 self._stats.count("retried", len(batch))
-            reply = self._round_trip(rank, task)
-            if reply is not None:
+            self._pool.send(rank, task)
+            try:
+                shape = self._pool.receive(rank, cancelled=lambda: self._aborting)
                 break
+            except WorkerDied:
+                with self._lock:
+                    self._pool.respawn(rank)
+                self._stats.count("respawns")
+            except InterruptedError:
+                raise ServerClosed("server closed") from None
         else:
             raise WorkerCrashed(
                 f"worker crashed {self.max_retries + 1} times serving this request"
             )
-        kind, detail = reply
-        if kind != "ok":
-            raise RuntimeError(f"shard worker {rank}: {detail}")
         offset = self._ring.response_offset(first.shape)
-        return [self._ring.get_array(request.slot, offset, detail) for request in batch]
-
-    def _round_trip(self, rank: int, task: tuple) -> tuple | None:
-        """Send one batch to ``rank``'s process and wait for its reply
-        (None: the process died first, and has been respawned)."""
-        worker = self._workers[rank]
-        worker.tasks.put(task)
-        while True:
-            with contextlib.suppress(queue_module.Empty):
-                return worker.replies.get(timeout=_POLL_S)
-            if self._aborting:
-                raise ServerClosed("server closed")
-            if not worker.process.is_alive():
-                self._respawn(rank)
-                return None
-
-    def _spawn_worker(self, rank: int) -> _Worker:
-        tasks, replies = self._context.Queue(), self._context.Queue()
-        process = self._context.Process(
-            target=_worker_main,
-            args=(
-                self._ring.name,
-                self._ring.slots,
-                self._ring.slot_bytes,
-                self._factory,
-                self._state,
-                self._worker_options,
-                tasks,
-                replies,
-            ),
-            name=f"repro-shard-{rank}",
-            daemon=True,
-        )
-        process.start()
-        return _Worker(process, tasks, replies)
-
-    def _respawn(self, rank: int) -> None:
-        with self._lock:
-            _abandon(self._workers[rank])
-            self._workers[rank] = self._spawn_worker(rank)
-        self._stats.count("respawns")
+        return [self._ring.get_array(request.slot, offset, shape) for request in batch]
 
     def _retire_locked(self, request: _Request) -> None:
         super()._retire_locked(request)
@@ -423,22 +375,5 @@ class ShardedInferenceServer(_Server):
 
     def _shutdown(self) -> None:
         """Stop the worker processes and unlink shared memory."""
-        for worker in self._workers:
-            try:
-                worker.tasks.put(None)
-            except (OSError, ValueError):  # already torn down with its worker
-                pass
-        for worker in self._workers:
-            worker.process.join(_JOIN_TIMEOUT_S)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(_JOIN_TIMEOUT_S)
-            _abandon(worker)
+        self._pool.close()
         self._ring.destroy()
-
-
-def _abandon(worker: _Worker) -> None:
-    """Close a worker's queues without waiting to flush them."""
-    for channel in (worker.tasks, worker.replies):
-        channel.close()
-        channel.cancel_join_thread()

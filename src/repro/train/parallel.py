@@ -2,11 +2,11 @@
 
 :class:`ParallelTrainEngine` is the multi-process sibling of
 :class:`~repro.train.engine.TrainEngine`: ``jobs`` spawned workers
-(PR 2's spawn discipline, via :mod:`repro.experiments.spawn`) each
-compute gradients for a share of every batch, and the parent combines
-them, clips, and steps the one authoritative optimizer.  Everything
-around the gradient — callbacks, history, scheduler, checkpoints,
-resume — is inherited unchanged, so checkpoints are the ordinary
+(one :class:`repro.comms.WorkerPool`) each compute gradients for a
+share of every batch, and the parent combines them, clips, and steps
+the one authoritative optimizer.  Everything around the gradient —
+callbacks, history, scheduler, checkpoints, resume — is inherited
+unchanged, so checkpoints are the ordinary
 :mod:`repro.train.checkpoint` bundles and a run checkpointed under
 ``--jobs 2`` resumes bit-for-bit under ``--jobs 4`` (or serially).
 
@@ -39,8 +39,11 @@ descriptors and per-grain scalar losses.  Weights are re-broadcast
 every step, so callbacks that mutate parameters on the parent (pruning
 masks, fake-quantization) compose exactly as they do serially.
 
-**Failure semantics.**  A worker that dies mid-epoch (crash, OOM,
-``inject_worker_crash``) makes ``fit`` raise :class:`RuntimeError`
+**Failure semantics.**  The first ``fit`` blocks until every worker
+has built its replica (the pool's ready handshake), so a factory that
+fails raises from that ``fit``.  A worker that dies mid-epoch (crash,
+OOM, ``inject_worker_crash``), or a step that hangs past
+``_STEP_TIMEOUT_S``, makes ``fit`` raise :class:`RuntimeError`
 immediately — gradients from a partial step are never applied, and
 there is no silent respawn: training state is stateful (unlike the
 serving cluster's idempotent requests), so the only safe resume is from
@@ -49,13 +52,12 @@ the last checkpoint.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import queue as queue_module
+import time
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from ..comms.pool import WorkerDied, WorkerPool
 from ..comms.reduce import flatten_arrays, tree_reduce, unflatten_into
 from ..comms.shm import RingClient, ShmRing
 from ..nn.module import Module
@@ -75,7 +77,8 @@ DEFAULT_GRAIN = 2
 _WEIGHTS_SLOT = 0
 _BATCH_SLOT = 1
 _GRAD_SLOT0 = 2
-_POLL_TICK_S = 0.2
+#: Upper bound on one step's worker round trip before ``fit`` fails loudly.
+_STEP_TIMEOUT_S = 120.0
 
 
 def _grain_bounds(n: int, grain: int) -> list[tuple[int, int]]:
@@ -135,7 +138,7 @@ def _combine_scalar_losses(
     return float(tree_reduce(scaled))
 
 
-def _worker_main(
+def _grad_setup(
     rank: int,
     jobs: int,
     grain: int,
@@ -144,60 +147,45 @@ def _worker_main(
     slot_bytes: int,
     factory: Callable[[], Module],
     loss_fn: Callable,
-    task_queue,
-    response_queue,
-) -> None:
-    """Entry point of one spawned gradient worker.
+) -> Callable[[tuple], tuple[int, list[tuple[int, float]]]]:
+    """Build one gradient worker's replica; return its step handler.
 
-    Builds its architecture replica once (the startup pickle carries
-    only the factory and the loss function — weights arrive through
-    shared memory every step, so the replica never drifts from the
-    parent), then answers step descriptors until the ``None`` sentinel.
-    A ``("crash",)`` descriptor is the fault-injection hook used by the
-    crash-during-epoch tests.
+    Runs in the spawned worker.  The startup pickle carries only the
+    factory and the loss function — weights arrive through shared
+    memory every step, so the replica never drifts from the parent.
+    The handler computes this rank's grains of one step, writes their
+    gradients to the ring and answers ``(step_id, [(grain, loss)])``.
     """
     client = RingClient(ring_name, slots, slot_bytes)
     model = factory()
     model.train()
     params = model.parameters()
     psize = int(sum(p.data.size for p in params))
-    while True:
-        item = task_queue.get()
-        if item is None:
-            break
-        if item[0] == "crash":
-            os._exit(17)
-        _, step_id, n, x_shape, y_shape = item
-        try:
-            weights = client.get_array(_WEIGHTS_SLOT, 0, (psize,))
-            unflatten_into(weights, [p.data for p in params])
-            bounds = _grain_bounds(n, grain)
-            mine = _grain_assignment(len(bounds), jobs)[rank]
-            x_tail = tuple(x_shape[1:])
-            y_tail = tuple(y_shape[1:])
-            x_stride = int(np.prod(x_tail, dtype=np.int64)) * 8
-            y_stride = int(np.prod(y_tail, dtype=np.int64)) * 8
-            y_base = int(np.prod(x_shape, dtype=np.int64)) * 8
-            losses = []
-            for g in mine:
-                start, stop = bounds[g]
-                xs = client.get_array(
-                    _BATCH_SLOT, start * x_stride, (stop - start, *x_tail)
-                )
-                ys = client.get_array(
-                    _BATCH_SLOT, y_base + start * y_stride, (stop - start, *y_tail)
-                )
-                vec, raw = _scaled_grain_grad(
-                    model, params, loss_fn, xs, ys, (stop - start) / n
-                )
-                client.put_array(_GRAD_SLOT0 + g, 0, vec)
-                losses.append((g, raw))
-            response_queue.put(("ok", rank, step_id, losses))
-        except Exception as exc:  # worker faults become data, never hangs
-            response_queue.put(
-                ("err", rank, step_id, f"{type(exc).__name__}: {exc}")
+
+    def handle(task: tuple) -> tuple[int, list[tuple[int, float]]]:
+        step_id, n, x_shape, y_shape = task
+        weights = client.get_array(_WEIGHTS_SLOT, 0, (psize,))
+        unflatten_into(weights, [p.data for p in params])
+        bounds = _grain_bounds(n, grain)
+        mine = _grain_assignment(len(bounds), jobs)[rank]
+        x_tail = tuple(x_shape[1:])
+        y_tail = tuple(y_shape[1:])
+        x_stride = int(np.prod(x_tail, dtype=np.int64)) * 8
+        y_stride = int(np.prod(y_tail, dtype=np.int64)) * 8
+        y_base = int(np.prod(x_shape, dtype=np.int64)) * 8
+        losses = []
+        for g in mine:
+            start, stop = bounds[g]
+            xs = client.get_array(_BATCH_SLOT, start * x_stride, (stop - start, *x_tail))
+            ys = client.get_array(
+                _BATCH_SLOT, y_base + start * y_stride, (stop - start, *y_tail)
             )
-    client.close()
+            vec, raw = _scaled_grain_grad(model, params, loss_fn, xs, ys, (stop - start) / n)
+            client.put_array(_GRAD_SLOT0 + g, 0, vec)
+            losses.append((g, raw))
+        return step_id, losses
+
+    return handle
 
 
 class ParallelTrainEngine(TrainEngine):
@@ -221,11 +209,10 @@ class ParallelTrainEngine(TrainEngine):
             architecture in each worker (weights are broadcast every
             step, so only the architecture matters).  Required when
             ``jobs > 1``.
-        step_timeout_s: Upper bound on one batch's worker round-trip
-            before ``fit`` fails loudly.
 
     Workers and the shared-memory ring are created lazily at the first
-    batch (sized from it) and live until :meth:`close`; the engine is a
+    batch (sized from it; that ``fit`` waits for the workers to be
+    ready) and live until :meth:`close`; the engine is a
     context manager.  Later batches must fit the first batch's
     transport sizing — true for any fixed-``batch_size`` loader, whose
     later batches are only ever equal or smaller.
@@ -242,7 +229,6 @@ class ParallelTrainEngine(TrainEngine):
         jobs: int = 1,
         grain: int = DEFAULT_GRAIN,
         model_factory: Callable[[], Module] | None = None,
-        step_timeout_s: float = 120.0,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -260,12 +246,9 @@ class ParallelTrainEngine(TrainEngine):
         self.jobs = jobs
         self.grain = grain
         self._factory = model_factory
-        self._step_timeout_s = step_timeout_s
         self._psize = int(sum(p.data.size for p in self.params))
         self._ring: ShmRing | None = None
-        self._workers: list = []
-        self._responses = None
-        self._context = None
+        self._pool: WorkerPool | None = None
         self._steps = 0
         self._closed = False
 
@@ -287,35 +270,23 @@ class ParallelTrainEngine(TrainEngine):
                     f"step; construct a fresh engine for larger batches"
                 )
             return
-        # Deferred import: repro.train stays importable without the
-        # experiments package (same pattern as the serving cluster).
-        from ..experiments.spawn import spawn_context
-
         slot_bytes = max(self._psize * 8, batch_bytes, 8)
         self._ring = ShmRing(slots=_GRAD_SLOT0 + grains, slot_bytes=slot_bytes)
-        self._context = spawn_context()
-        self._responses = self._context.Queue()
-        for rank in range(self.jobs):
-            task_queue = self._context.Queue()
-            process = self._context.Process(
-                target=_worker_main,
-                args=(
-                    rank,
-                    self.jobs,
-                    self.grain,
-                    self._ring.name,
-                    self._ring.slots,
-                    self._ring.slot_bytes,
-                    self._factory,
-                    self.config.loss_fn,
-                    task_queue,
-                    self._responses,
-                ),
-                name=f"repro-train-{rank}",
-                daemon=True,
-            )
-            process.start()
-            self._workers.append((process, task_queue))
+        args = (
+            self.jobs,
+            self.grain,
+            self._ring.name,
+            self._ring.slots,
+            self._ring.slot_bytes,
+            self._factory,
+            self.config.loss_fn,
+        )
+        try:
+            self._pool = WorkerPool("repro-train", self.jobs, _grad_setup, args)
+        except BaseException:
+            self._ring.destroy()
+            self._ring = None
+            raise
 
     def inject_worker_crash(self, rank: int = 0) -> None:
         """Fault injection: make worker ``rank`` die at its next dequeue.
@@ -325,30 +296,18 @@ class ParallelTrainEngine(TrainEngine):
         must fail the ``fit`` loudly rather than apply a partial
         gradient.
         """
-        if not self._workers:
+        if self._pool is None:
             raise RuntimeError("no workers running (fit has not started)")
-        self._workers[rank][1].put(("crash",))
+        self._pool.crash(rank)
 
     def close(self) -> None:
         """Stop the workers and unlink the shared-memory segment (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for _process, task_queue in self._workers:
-            with contextlib.suppress(OSError, ValueError):  # queue torn down
-                task_queue.put(None)
-        for process, task_queue in self._workers:
-            process.join(10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(10.0)
-            task_queue.close()
-            task_queue.cancel_join_thread()
-        self._workers = []
-        if self._responses is not None:
-            self._responses.close()
-            self._responses.cancel_join_thread()
-            self._responses = None
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
         if self._ring is not None:
             self._ring.destroy()
             self._ring = None
@@ -410,49 +369,32 @@ class ParallelTrainEngine(TrainEngine):
         self._ring.put_array(_BATCH_SLOT, 0, x)
         self._ring.put_array(_BATCH_SLOT, x.nbytes, y)
         for rank in working:
-            self._workers[rank][1].put(("step", step_id, n, x.shape, y.shape))
+            self._pool.send(rank, (step_id, n, x.shape, y.shape))
+        deadline = time.monotonic() + _STEP_TIMEOUT_S
         raw_by_grain: dict[int, float] = {}
-        pending = set(working)
-        waited = 0.0
-        while pending:
+        for rank in working:
             try:
-                kind, rank, got_step, payload = self._responses.get(
-                    timeout=_POLL_TICK_S
-                )
-            except queue_module.Empty:
-                waited += _POLL_TICK_S
-                self._check_workers_alive(pending)
-                if waited >= self._step_timeout_s:
-                    raise RuntimeError(
-                        f"data-parallel step timed out after "
-                        f"{self._step_timeout_s:.0f}s waiting on ranks "
-                        f"{sorted(pending)}"
-                    ) from None
-                continue
+                got_step, losses = self._pool.receive(rank, deadline)
+            except WorkerDied as exc:
+                raise RuntimeError(
+                    f"data-parallel worker {rank} died mid-epoch (exit code "
+                    f"{exc.exitcode}); partial gradients are never "
+                    f"applied — resume from the last checkpoint"
+                ) from None
+            except TimeoutError:
+                raise RuntimeError(
+                    f"data-parallel step timed out after {_STEP_TIMEOUT_S:.0f}s "
+                    f"waiting on rank {rank}"
+                ) from None
             if got_step != step_id:
                 raise RuntimeError(
                     f"worker {rank} answered step {got_step}, expected "
                     f"{step_id}: transport protocol out of sync"
                 )
-            if kind != "ok":
-                raise RuntimeError(f"worker {rank} failed mid-step: {payload}")
-            for g, raw in payload:
-                raw_by_grain[g] = raw
-            pending.discard(rank)
+            raw_by_grain.update(losses)
         grads = [
             self._ring.get_array(_GRAD_SLOT0 + g, 0, (self._psize,))
             for g in range(len(bounds))
         ]
         raw_losses = [raw_by_grain[g] for g in range(len(bounds))]
         return grads, raw_losses
-
-    def _check_workers_alive(self, pending: set) -> None:
-        """Fail the step loudly if a rank we are waiting on has died."""
-        for rank in sorted(pending):
-            process = self._workers[rank][0]
-            if not process.is_alive():
-                raise RuntimeError(
-                    f"data-parallel worker {rank} died mid-epoch (exit code "
-                    f"{process.exitcode}); partial gradients are never "
-                    f"applied — resume from the last checkpoint"
-                )

@@ -1,13 +1,11 @@
 """Tests for the shared spawn-worker helpers (repro.experiments.spawn)."""
 
-import multiprocessing
 import zlib
 
 from repro.experiments import registry
 from repro.experiments.spawn import (
     ensure_registered,
     export_env,
-    spawn_context,
     worker_seed,
 )
 from repro.nn import backend as nn_backend
@@ -38,13 +36,6 @@ class TestWorkerSeed:
         ensure_registered()
         experiment = registry.get("table1")
         assert experiment.seed_for("small") == worker_seed("table1", "small")
-
-
-class TestSpawnContext:
-    def test_spawn_start_method(self):
-        context = spawn_context()
-        assert isinstance(context, multiprocessing.context.SpawnContext)
-        assert context.get_start_method() == "spawn"
 
 
 class TestExportEnv:

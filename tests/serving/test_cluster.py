@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import pickle
 import time
 
 import numpy as np
@@ -26,6 +27,17 @@ from repro.serving.bench import make_bench_model
 
 FACTORY = functools.partial(make_bench_model, 0)
 SHAPES = [(1, 16, 16), (1, 24, 24), (1, 32, 32)]
+SLOW_SETUP_S = 1.0
+
+
+# Module-level, hence spawn-picklable, factories for the startup tests.
+def _raising_factory():
+    raise ValueError("factory exploded")
+
+
+def _slow_factory():
+    time.sleep(SLOW_SETUP_S)
+    return make_bench_model(0)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +202,32 @@ class TestAdmission:
         assert result.completed + result.rejected + result.failed == 40
         assert np.isfinite(result.latency_ms_p99)
         assert active_segments() == []
+
+
+class TestStartup:
+    def test_unpicklable_factory_raises_and_leaks_no_segment(self):
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            ShardedInferenceServer(lambda: make_bench_model(0), procs=1, queue_depth=2)
+        assert active_segments() == []
+
+    def test_factory_error_fails_construction_without_respawns(self):
+        server = None
+        with pytest.raises(RuntimeError, match="ValueError: factory exploded"):
+            server = ShardedInferenceServer(_raising_factory, procs=2, queue_depth=2)
+        assert server is None  # so no stats, no respawn loop
+        assert active_segments() == []
+
+    def test_first_request_does_not_pay_the_spawn(self, serial_predictor):
+        image = _images(1)[0]
+        started = time.perf_counter()
+        with ShardedInferenceServer(_slow_factory, procs=1, queue_depth=2) as server:
+            built = time.perf_counter() - started
+            started = time.perf_counter()
+            output = server.predict(image, timeout=120)
+            first = time.perf_counter() - started
+        assert built >= SLOW_SETUP_S
+        assert first < SLOW_SETUP_S
+        assert np.array_equal(output, serial_predictor.predict(image[None])[0])
 
 
 class TestLifecycle:

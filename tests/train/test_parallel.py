@@ -27,6 +27,10 @@ from repro.train.parallel import _grain_assignment, _grain_bounds
 FACTORY = functools.partial(make_bench_model, 0)
 
 
+def _raising_factory():
+    raise ValueError("factory exploded")
+
+
 def _data(n, seed=5):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 1, 8, 8))
@@ -156,6 +160,18 @@ class TestFailureSemantics:
             engine.inject_worker_crash(0)
             with pytest.raises(RuntimeError, match="died mid-epoch"):
                 engine.fit(_loader(8), epochs=1)
+        finally:
+            engine.close()
+        assert active_segments() == []
+
+    def test_factory_error_surfaces_from_first_fit(self):
+        engine = ParallelTrainEngine(
+            make_bench_model(0), TrainConfig(epochs=1), jobs=2, model_factory=_raising_factory
+        )
+        try:
+            with pytest.raises(RuntimeError, match="ValueError: factory exploded"):
+                engine.fit(_loader(8), epochs=1)
+            assert active_segments() == []
         finally:
             engine.close()
         assert active_segments() == []
