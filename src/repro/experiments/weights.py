@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Bump when the cached-bundle layout or training semantics change.
-WEIGHTS_SCHEMA = 1
+WEIGHTS_SCHEMA = 2
 
 DEFAULT_WEIGHTS_DIR = DEFAULT_RESULTS_DIR / "weights"
 

@@ -306,11 +306,12 @@ class Backend:
     def conv2d_grad_weight(self, grad_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """dL/dW_mat from grad (N, Co, P) and cols (N, K, P) -> (Co, K).
 
-        Reduces over batch *and* pixels; kept as one einsum call in every
-        backend so the floating-point reduction order (and therefore the
-        result) is identical across them.
+        Reduces over batch *and* pixels: one (Co, P) x (P, K) GEMM per
+        sample, then a sum over the batch in sample order.  No backend
+        splits this call, so every backend runs the same GEMMs and the
+        same sum, and the result is identical across them.
         """
-        return np.einsum("nop,nkp->ok", grad_flat, cols)
+        return np.matmul(grad_flat, np.swapaxes(cols, -1, -2)).sum(axis=0)
 
     def conv2d_grad_input(
         self,
@@ -324,8 +325,12 @@ class Backend:
         ho: int,
         wo: int,
     ) -> np.ndarray:
-        """dL/dx: backproject grad (N, Co, P) through the filter and col2im."""
-        dcols = np.einsum("ok,nop->nkp", w_mat, grad_flat)
+        """dL/dx: backproject grad (N, Co, P) through the filter and col2im.
+
+        One (K, Co) x (Co, P) GEMM per sample, so a batch span computes
+        the same bits as the whole batch.
+        """
+        dcols = np.matmul(w_mat.T, grad_flat)
         return self.col2im(dcols, x_shape, kh, kw, stride, padding, ho, wo)
 
     # ------------------------------------------------------------------
@@ -396,8 +401,11 @@ class Backend:
     def conv2d_grouped_grad_weight(
         self, grad_flat: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
-        """dL/dW from grad (N, G, Co, P) and cols (N, G, K, P) -> (G, Co, K)."""
-        return np.einsum("ngop,ngkp->gok", grad_flat, cols)
+        """dL/dW from grad (N, G, Co, P) and cols (N, G, K, P) -> (G, Co, K).
+
+        Per group, the same GEMMs and batch sum as :meth:`conv2d_grad_weight`.
+        """
+        return np.matmul(grad_flat, np.swapaxes(cols, -1, -2)).sum(axis=0)
 
     def conv2d_grouped_grad_input(
         self,
@@ -472,9 +480,9 @@ class SplitBackend(Backend):
     gradients stay **bit-identical** to :class:`NumpyBackend`.  Inference
     spans write straight into ``out`` through the reference direct-write
     kernels, so peak im2col memory is one span's worth.  Training
-    primitives split only when ``threads > 1``; the weight gradient
-    reduces across the batch and stays on the single-call reference
-    path.
+    primitives split only when ``threads > 1``.  The weight gradient is
+    never split: it sums per-sample GEMMs over the batch, and cutting
+    the batch would change the order of that sum.
 
     The registry builds it under two names: ``threaded[:N]`` is
     ``SplitBackend(threads=N)`` and ``blocked[:B]`` is
@@ -756,6 +764,10 @@ class SplitBackend(Backend):
 class EinsumBackend(Backend):
     """Deterministic shape-invariant kernels (np.einsum, no BLAS GEMM).
 
+    Every GEMM-shaped primitive, forward and VJP, is overridden with an
+    ``np.einsum`` contraction; only im2col/col2im and pooling are shared
+    with the BLAS backends.
+
     BLAS dgemm picks its micro-kernel and accumulation structure from the
     full problem dimensions, so the *bits* of one output element can
     change with the number of columns computed alongside it — which is
@@ -800,6 +812,26 @@ class EinsumBackend(Backend):
             n, groups, co, dims[2], dims[3]
         )
         return out, cols, dims
+
+    def conv2d_grad_weight(self, grad_flat, cols):
+        return np.einsum("nop,nkp->ok", grad_flat, cols)
+
+    def conv2d_grad_input(self, w_mat, grad_flat, x_shape, kh, kw, stride, padding, ho, wo):
+        dcols = np.einsum("ok,nop->nkp", w_mat, grad_flat)
+        return self.col2im(dcols, x_shape, kh, kw, stride, padding, ho, wo)
+
+    def conv2d_grouped_grad_weight(self, grad_flat, cols):
+        return np.einsum("ngop,ngkp->gok", grad_flat, cols)
+
+    def conv2d_grouped_grad_input(
+        self, w_flat, grad_flat, x_shape, kh, kw, stride, padding, ho, wo
+    ):
+        n, groups, ci, h, w = x_shape
+        dcols = np.einsum("gok,ngop->ngkp", w_flat, grad_flat).reshape(
+            n * groups, ci * kh * kw, ho * wo
+        )
+        dx = self.col2im(dcols, (n * groups, ci, h, w), kh, kw, stride, padding, ho, wo)
+        return dx.reshape(x_shape)
 
 
 # ----------------------------------------------------------------------

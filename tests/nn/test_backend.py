@@ -406,3 +406,27 @@ class TestEinsumBackend:
         with use_backend(NumpyBackend()), no_grad():
             ref = conv2d_grouped(Tensor(xd), Tensor(wd), padding=1).data
         np.testing.assert_allclose(full, ref, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("grouped", [False, True], ids=["conv2d", "grouped"])
+    def test_gradients_match_numpy_within_rounding(self, grouped, stride, padding, batch):
+        """The BLAS VJPs of the base class and the einsum overrides
+        compute the same contractions; only rounding may differ."""
+        from repro.nn.backend import EinsumBackend
+
+        rng = np.random.default_rng(3)
+        if grouped:
+            xd = rng.standard_normal((batch, 4, 2, 9, 9))
+            wd = rng.standard_normal((4, 3, 2, 3, 3))
+            bd = rng.standard_normal((4, 3))
+        else:
+            xd = rng.standard_normal((batch, 3, 9, 9))
+            wd = rng.standard_normal((4, 3, 3, 3))
+            bd = rng.standard_normal(4)
+        ref = _conv_case(NumpyBackend(), xd, wd, bd, stride, padding, grouped)
+        got = _conv_case(EinsumBackend(), xd, wd, bd, stride, padding, grouped)
+        for name, r, g in zip(("out", "infer", "dx", "dw", "db"), ref, got, strict=True):
+            np.testing.assert_allclose(
+                g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max(), err_msg=name
+            )
