@@ -43,6 +43,7 @@ Backends are addressed by a spec string ``name[:arg]`` — ``numpy``,
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -88,6 +89,60 @@ def conv_geometry(
     return hp, wp, ho, wo
 
 
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Read-only (..., kh, kw, Ho, Wo) view of the sliding windows of a
+    pre-padded input; leading dims pass through."""
+    strides = xp.strides
+    sh, sw = strides[-2], strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(*xp.shape[:-2], kh, kw, ho, wo),
+        strides=(*strides[:-2], sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+
+
+def _tap_window(k: int, stride: int, padding: int, out: int, size: int) -> tuple[slice, slice]:
+    """(output slice, input slice) of kernel tap ``k`` along one axis:
+    the outputs whose tap-``k`` input lies inside ``range(size)`` rather
+    than in the padding, and those input positions."""
+    lo = max(0, -((k - padding) // stride))
+    hi = max(lo, min(out, (size - 1 - k + padding) // stride + 1))
+    start = k - padding + stride * lo
+    return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+
+
+class _ScratchPool:
+    """One thread's recycled buffers for the direct-write conv kernels.
+
+    Bounded by bytes rather than by shape count.  Every im2col matrix
+    lives in ``cols``, one grow-only buffer reached through a cached
+    view per shape, so the pool pins the largest request's cols, not the
+    sum over every shape it has served.  Padded inputs, about a ninth
+    of a 3x3 conv's cols, keep one array per (shape, padding) key, so
+    their zero borders are written once; ``padded`` and ``views`` are
+    each cleared whole when they reach ``KEYS`` entries.
+    """
+
+    KEYS = 16
+
+    def __init__(self) -> None:
+        self.padded: dict[tuple, np.ndarray] = {}
+        self.views: dict[tuple, np.ndarray] = {}
+        self.cols = np.empty(0, dtype=np.uint8)
+
+    def cols_view(self, key: tuple, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A cached ``shape`` view of ``cols``, growing ``cols`` if it is short."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if self.cols.nbytes < nbytes:
+            self.cols = np.empty(nbytes, dtype=np.uint8)
+            self.views.clear()
+        elif len(self.views) >= self.KEYS:
+            self.views.clear()
+        view = self.views[key] = self.cols[:nbytes].view(dtype).reshape(shape)
+        return view
+
+
 class Backend:
     """Reference implementation and protocol of the kernel primitives.
 
@@ -116,23 +171,18 @@ class Backend:
     ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
         """Unfold sliding windows into columns.
 
+        The input is padded through :meth:`_padded_scratch`; ``cols`` is
+        always a fresh array, because the training tape keeps it for
+        the weight VJP.
+
         Returns:
             cols of shape (N, C*kh*kw, Ho*Wo) and (Hp, Wp, Ho, Wo).
         """
-        if padding:
-            x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        n, c, hp, wp = x.shape
-        ho = (hp - kh) // stride + 1
-        wo = (wp - kw) // stride + 1
-        s0, s1, s2, s3 = x.strides
-        windows = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, c, kh, kw, ho, wo),
-            strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-            writeable=False,
-        )
-        cols = np.ascontiguousarray(windows).reshape(n, c * kh * kw, ho * wo)
-        return cols, (hp, wp, ho, wo)
+        n, c, h, w = x.shape
+        dims = conv_geometry(h, w, kh, kw, stride, padding)
+        ho, wo = dims[2], dims[3]
+        windows = _windows(self._padded_scratch(x, padding), kh, kw, stride, ho, wo)
+        return np.ascontiguousarray(windows).reshape(n, c * kh * kw, ho * wo), dims
 
     def col2im(
         self,
@@ -145,19 +195,23 @@ class Backend:
         ho: int,
         wo: int,
     ) -> np.ndarray:
-        """Adjoint of im2col: scatter-add column gradients back to the input."""
+        """Adjoint of im2col: scatter-add column gradients back to the input.
+
+        Each tap (i, j), in that order, adds the part of its window that
+        lands inside the input straight into an unpadded result; the
+        parts that land in the padding are never computed.  Every input
+        cell receives the same adds in the same order as it would in a
+        padded buffer, so the bytes are the same, signed zeros included.
+        """
         n, c, h, w = x_shape
-        hp, wp = h + 2 * padding, w + 2 * padding
-        dxp = np.zeros((n, c, hp, wp))
+        dx = np.zeros(x_shape)
         dcols = dcols.reshape(n, c, kh, kw, ho, wo)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
-                    :, :, i, j
-                ]
-        if padding:
-            return dxp[:, :, padding:-padding, padding:-padding]
-        return dxp
+        rows = [_tap_window(i, stride, padding, ho, h) for i in range(kh)]
+        columns = [_tap_window(j, stride, padding, wo, w) for j in range(kw)]
+        for i, (out_rows, in_rows) in enumerate(rows):
+            for j, (out_cols, in_cols) in enumerate(columns):
+                dx[:, :, in_rows, in_cols] += dcols[:, :, i, j, out_rows, out_cols]
+        return dx
 
     # ------------------------------------------------------------------
     # matmul
@@ -201,8 +255,11 @@ class Backend:
         path's arena buffers); writing into it must not change any bit
         of the result.  This base implementation computes through the
         subclass's :meth:`conv2d` and copies, which preserves the
-        subclass's reduction semantics (e.g. :class:`EinsumBackend`);
-        BLAS-backed subclasses override with direct-write paths.
+        subclass's reduction semantics; only :class:`EinsumBackend`
+        uses it.  The BLAS backends override it with the direct-write
+        kernel :meth:`_conv2d_infer_into` for every call, allocating
+        ``out`` when it is not given, so eager no-grad inference and
+        compiled replay run the same code.
         """
         res, _, _ = self.conv2d(x, w_mat, kh, kw, stride, padding)
         if out is None:
@@ -210,29 +267,19 @@ class Backend:
         np.copyto(out, res)
         return out
 
-    def _infer_scratch(self, key: tuple, shape: tuple[int, ...], dtype) -> tuple[np.ndarray, bool]:
-        """Recycled per-thread buffer for the direct-write inference
-        paths; one live array per key per thread, at most 16 keys per
-        thread.  Returns (buffer, fresh) so callers can run one-time
-        initialisation (pad borders) only when the buffer was actually
-        (re)allocated.
-        """
-        local = getattr(self, "_infer_local", None)
+    def _scratch_pool(self) -> _ScratchPool:
+        """This thread's scratch pool: padded inputs for every im2col,
+        cols for the direct-write inference kernels."""
+        local = getattr(self, "_scratch_local", None)
         if local is None:
             # Benign race: concurrent first calls may each build a
             # threading.local and one wins — scratch carries no state
             # across calls, so the losers only cost an extra allocation.
-            local = self._infer_local = threading.local()
-        pool: dict | None = getattr(local, "buffers", None)
+            local = self._scratch_local = threading.local()
+        pool = getattr(local, "pool", None)
         if pool is None:
-            pool = local.buffers = {}
-        buf = pool.get(key)
-        if buf is None:
-            if len(pool) >= 16:
-                pool.clear()
-            buf = pool[key] = np.empty(shape, dtype=dtype)
-            return buf, True
-        return buf, False
+            pool = local.pool = _ScratchPool()
+        return pool
 
     def _padded_scratch(self, x: np.ndarray, padding: int) -> np.ndarray:
         """``x`` zero-padded on its last two axes into recycled scratch.
@@ -250,8 +297,13 @@ class Backend:
             return x
         h, w = x.shape[-2], x.shape[-1]
         shape = (*x.shape[:-2], h + 2 * padding, w + 2 * padding)
-        xp, fresh = self._infer_scratch(("pad", shape, x.dtype.str, padding), shape, x.dtype)
-        if fresh:
+        padded = self._scratch_pool().padded
+        key = (shape, x.dtype.str, padding)
+        xp = padded.get(key)
+        if xp is None:
+            if len(padded) >= _ScratchPool.KEYS:
+                padded.clear()
+            xp = padded[key] = np.empty(shape, dtype=x.dtype)
             xp[..., :padding, :] = 0.0
             xp[..., -padding:, :] = 0.0
             xp[..., padding:-padding, :padding] = 0.0
@@ -262,25 +314,21 @@ class Backend:
     def _cols_scratch(
         self, xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int
     ) -> np.ndarray:
-        """im2col of a pre-padded input into recycled scratch.
+        """im2col of a pre-padded input into the pool's shared cols buffer.
 
-        Element-for-element the same copy :meth:`im2col` makes via
-        ``ascontiguousarray`` — only the destination is recycled.  Leading
-        dims pass through, so grouped (N, G, Ci, Hp, Wp) inputs produce
-        (N, G, Ci, kh, kw, Ho, Wo) directly.
+        The same windows, copied in the same order, as :meth:`im2col`;
+        only the destination is recycled rather than fresh.  Leading dims
+        pass through, so grouped (N, G, Ci, Hp, Wp) inputs produce
+        (N, G, Ci, kh, kw, Ho, Wo) directly.  The result is valid only
+        until this thread's next conv.
         """
-        lead = xp.shape[:-2]
-        strides = xp.strides
-        sh, sw = strides[-2], strides[-1]
-        windows = np.lib.stride_tricks.as_strided(
-            xp,
-            shape=(*lead, kh, kw, ho, wo),
-            strides=(*strides[:-2], sh, sw, sh * stride, sw * stride),
-            writeable=False,
-        )
-        shape = (*lead, kh, kw, ho, wo)
-        buf, _ = self._infer_scratch(("cols", shape, xp.dtype.str), shape, xp.dtype)
-        np.copyto(buf, windows)
+        shape = (*xp.shape[:-2], kh, kw, ho, wo)
+        pool = self._scratch_pool()
+        key = (shape, xp.dtype.str)
+        buf = pool.views.get(key)
+        if buf is None:
+            buf = pool.cols_view(key, shape, xp.dtype)
+        np.copyto(buf, _windows(xp, kh, kw, stride, ho, wo))
         return buf
 
     def _conv2d_infer_into(
@@ -448,13 +496,22 @@ class NumpyBackend(Backend):
 
     def conv2d_infer(self, x, w_mat, kh, kw, stride, padding, out=None):
         if out is None:
-            return Backend.conv2d_infer(self, x, w_mat, kh, kw, stride, padding)
+            out = _conv_out(x, w_mat, kh, kw, stride, padding)
         return self._conv2d_infer_into(x, w_mat, kh, kw, stride, padding, out)
 
     def conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding, out=None):
         if out is None:
-            return Backend.conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding)
+            out = _conv_out(x, w_flat, kh, kw, stride, padding)
         return self._conv2d_grouped_infer_into(x, w_flat, kh, kw, stride, padding, out)
+
+
+def _conv_out(
+    x: np.ndarray, w: np.ndarray, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """Fresh output of an inference conv: (N, Co, Ho, Wo) for a (Co, K)
+    weight, (N, G, Co, Ho, Wo) for a grouped (G, Co, K) one."""
+    _, _, ho, wo = conv_geometry(x.shape[-2], x.shape[-1], kh, kw, stride, padding)
+    return np.empty((*x.shape[:-3], w.shape[-2], ho, wo), dtype=np.result_type(x, w))
 
 
 def _sliced(axis: int, span: tuple[int, int]) -> tuple[slice, ...]:
@@ -520,10 +577,8 @@ class SplitBackend(Backend):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SplitBackend(threads={self.threads}, block={self.block})"
 
-    def _infer_scratch(
-        self, key: tuple, shape: tuple[int, ...], dtype
-    ) -> tuple[np.ndarray, bool]:
-        """Call-scoped span buffers instead of the per-thread pool.
+    def _scratch_pool(self) -> _ScratchPool:
+        """A fresh, empty pool per call: call-scoped span buffers.
 
         A span's padded input and im2col matrix are freed when the span
         ends, and the allocator hands the same memory back next call.
@@ -531,9 +586,13 @@ class SplitBackend(Backend):
         mmap/trim thresholds low, so the eager forward's other multi-MB
         temporaries are mapped and page-faulted afresh on every call
         (FRCONV[h], batch 16, threaded:2 on 2 CPUs: ~2500 extra minor
-        faults and +4 ms per call).
+        faults and +4 ms per call).  That measurement predates the base
+        class's byte-bounded pool, which pins one cols buffer sized to
+        the largest request instead of up to 16 arrays, but it pins
+        that buffer all the same, so the mechanism still applies; it
+        has not been re-measured.
         """
-        return np.empty(shape, dtype=dtype), True
+        return _ScratchPool()
 
     # -- span planner and runner ------------------------------------------
     def _parallel(self, work: int) -> bool:
@@ -590,10 +649,9 @@ class SplitBackend(Backend):
 
     # -- inference primitives ---------------------------------------------
     def conv2d_infer(self, x, w_mat, kh, kw, stride, padding, out=None):
-        n, _, h, w = x.shape
-        _, _, ho, wo = conv_geometry(h, w, kh, kw, stride, padding)
+        n = x.shape[0]
         if out is None:
-            out = np.empty((n, w_mat.shape[0], ho, wo), dtype=np.result_type(x, w_mat))
+            out = _conv_out(x, w_mat, kh, kw, stride, padding)
 
         def fill(span: tuple[int, int]) -> None:
             i0, i1 = span
@@ -603,12 +661,9 @@ class SplitBackend(Backend):
         return out
 
     def conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding, out=None):
-        n, groups, _, h, w = x.shape
-        _, _, ho, wo = conv_geometry(h, w, kh, kw, stride, padding)
+        n, groups = x.shape[:2]
         if out is None:
-            out = np.empty(
-                (n, groups, w_flat.shape[1], ho, wo), dtype=np.result_type(x, w_flat)
-            )
+            out = _conv_out(x, w_flat, kh, kw, stride, padding)
         axis, spans = self._grouped_spans(n, groups, out.size, self.block)
 
         def fill(span: tuple[int, int]) -> None:

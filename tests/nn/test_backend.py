@@ -231,6 +231,148 @@ class TestOtherPrimitiveParity:
 
 
 # ----------------------------------------------------------------------
+# im2col / col2im against the padded lowering (byte equality)
+# ----------------------------------------------------------------------
+def _oracle_im2col(x, kh, kw, stride, padding):
+    """Pad with np.pad, view the windows with as_strided, copy them."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, hp, wp = x.shape
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kh, kw, ho, wo), strides=(s0, s1, s2, s3, s2 * stride, s3 * stride)
+    )
+    return np.ascontiguousarray(windows).reshape(n, c * kh * kw, ho * wo), (hp, wp, ho, wo)
+
+
+def _oracle_col2im(dcols, x_shape, kh, kw, stride, padding, ho, wo):
+    """Scatter-add every tap's whole window into a padded buffer, then crop."""
+    n, c, h, w = x_shape
+    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    dcols = dcols.reshape(n, c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
+                :, :, i, j
+            ]
+    return dxp[:, :, padding : padding + h, padding : padding + w]
+
+
+def _signed_zeros(rng, shape):
+    """Gaussian data with every third entry set to -0.0."""
+    a = rng.standard_normal(shape)
+    a.flat[::3] = -0.0
+    return a
+
+
+def _same_bytes(got, ref):
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def _check_lowering(backend, x_shape, k, stride, padding, seed):
+    """im2col and col2im equal the oracles byte for byte, twice in a row
+    (the second call reuses whatever scratch the first one left)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        x = _signed_zeros(rng, x_shape)
+        cols, dims = backend.im2col(x, k, k, stride, padding)
+        ref_cols, ref_dims = _oracle_im2col(x, k, k, stride, padding)
+        assert dims == ref_dims
+        assert _same_bytes(cols, ref_cols), f"im2col differs on {backend!r}"
+        ho, wo = dims[2], dims[3]
+        dcols = _signed_zeros(rng, cols.shape)
+        dx = backend.col2im(dcols, x_shape, k, k, stride, padding, ho, wo)
+        ref_dx = _oracle_col2im(dcols, x_shape, k, k, stride, padding, ho, wo)
+        assert _same_bytes(dx, ref_dx), f"col2im differs on {backend!r}"
+
+
+def _lowering_cases():
+    """Kernel 1/3/5, stride 1/2, padding 0, 1, 2 and >= kernel (taps whose
+    windows land wholly in the padding), on a small and a 1-row input."""
+    cases = []
+    for k in (1, 3, 5):
+        for stride in (1, 2):
+            for padding in sorted({0, 1, 2, k, k + 2}):
+                for shape in ((2, 3, 7, 6), (1, 2, 1, 2)):
+                    if min(shape[2:]) + 2 * padding >= k:
+                        cases.append((shape, k, stride, padding))
+    return cases
+
+
+@pytest.mark.parametrize(("x_shape", "k", "stride", "padding"), _lowering_cases())
+def test_im2col_col2im_match_padded_oracle(x_shape, k, stride, padding):
+    for backend in [NumpyBackend(), *_alternative_backends()]:
+        _check_lowering(backend, x_shape, k, stride, padding, seed=30)
+
+
+@pytest.mark.smoke
+def test_im2col_col2im_oracle_smoke():
+    """One oracle case on whatever backend is active (CI runs this under
+    every REPRO_BACKEND), with padding wider than the kernel."""
+    _check_lowering(current_backend(), (3, 2, 5, 4), 3, 2, 4, seed=31)
+
+
+# ----------------------------------------------------------------------
+# eager inference routing and the scratch pool
+# ----------------------------------------------------------------------
+class TestEagerInferenceRouting:
+    """On NumpyBackend, eager no-grad convs (``out=None``) run the same
+    direct-write kernels as compiled replay (``out=`` given), never the
+    training forward."""
+
+    def _refuse_training_forward(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eager inference reached the training forward")
+
+        for name in ("conv2d", "conv2d_grouped", "im2col"):
+            monkeypatch.setattr(Backend, name, refuse)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 4)])
+    def test_out_none_equals_out_path_and_training_forward(self, monkeypatch, stride, padding):
+        rng = np.random.default_rng(32)
+        x = _signed_zeros(rng, (3, 4, 9, 8))
+        w_mat = rng.standard_normal((5, 4 * 9))
+        xg = _signed_zeros(rng, (2, 3, 2, 9, 8))
+        w_flat = rng.standard_normal((3, 4, 2 * 9))
+        backend = NumpyBackend()
+        trained = backend.conv2d(x, w_mat, 3, 3, stride, padding)[0]
+        trained_g = backend.conv2d_grouped(xg, w_flat, 3, 3, stride, padding)[0]
+        self._refuse_training_forward(monkeypatch)
+
+        eager = backend.conv2d_infer(x, w_mat, 3, 3, stride, padding)
+        into = backend.conv2d_infer(x, w_mat, 3, 3, stride, padding, out=np.empty_like(eager))
+        assert _same_bytes(eager, into) and _same_bytes(eager, trained)
+        eager_g = backend.conv2d_grouped_infer(xg, w_flat, 3, 3, stride, padding)
+        into_g = backend.conv2d_grouped_infer(
+            xg, w_flat, 3, 3, stride, padding, out=np.empty_like(eager_g)
+        )
+        assert _same_bytes(eager_g, into_g) and _same_bytes(eager_g, trained_g)
+
+    def test_eager_layers_never_reach_training_forward(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        xd = rng.standard_normal((2, 3, 8, 8))
+        wd = rng.standard_normal((4, 3, 3, 3))
+        xg = rng.standard_normal((2, 4, 2, 8, 8))
+        wg = rng.standard_normal((4, 3, 2, 3, 3))
+        self._refuse_training_forward(monkeypatch)
+        with use_backend(NumpyBackend()), no_grad():
+            assert conv2d(Tensor(xd), Tensor(wd), padding=1).shape == (2, 4, 8, 8)
+            assert conv2d_grouped(Tensor(xg), Tensor(wg), padding=1).shape == (2, 4, 3, 8, 8)
+
+    def test_cols_scratch_pins_the_largest_request_not_the_sum(self):
+        backend = NumpyBackend()
+        rng = np.random.default_rng(34)
+        w_mat = rng.standard_normal((4, 3 * 9))
+        batches = (2, 5, 1, 8, 3, 7, 4, 6)
+        for n in batches:
+            backend.conv2d_infer(rng.standard_normal((n, 3, 10, 10)), w_mat, 3, 3, 1, 1)
+        largest = max(batches) * 3 * 9 * 10 * 10 * 8
+        assert backend._scratch_pool().cols.nbytes == largest
+
+
+# ----------------------------------------------------------------------
 # full-model parity: FastRingConv2d forward/backward, Predictor
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("ring_name,n", [("c", 2), ("ri4", 4), ("h", 4)])
