@@ -113,33 +113,52 @@ def _tap_window(k: int, stride: int, padding: int, out: int, size: int) -> tuple
 
 
 class _ScratchPool:
-    """One thread's recycled buffers for the direct-write conv kernels.
+    """One thread's recycled conv buffers: padded inputs for every
+    im2col, cols for the direct-write inference kernels.
 
     Bounded by bytes rather than by shape count.  Every im2col matrix
-    lives in ``cols``, one grow-only buffer reached through a cached
-    view per shape, so the pool pins the largest request's cols, not the
-    sum over every shape it has served.  Padded inputs, about a ninth
-    of a 3x3 conv's cols, keep one array per (shape, padding) key, so
-    their zero borders are written once; ``padded`` and ``views`` are
-    each cleared whole when they reach ``KEYS`` entries.
+    lives in one grow-only buffer reached through a cached view per
+    shape, so the pool pins the largest request's cols, not the sum over
+    every shape it has served.  Padded inputs, about a ninth of a 3x3
+    conv's cols, keep one array per (shape, padding) key, so their zero
+    borders are written once.  Each of the two key caches is cleared
+    whole when it reaches ``KEYS`` entries.
     """
 
     KEYS = 16
 
     def __init__(self) -> None:
-        self.padded: dict[tuple, np.ndarray] = {}
-        self.views: dict[tuple, np.ndarray] = {}
-        self.cols = np.empty(0, dtype=np.uint8)
+        self._padded: dict[tuple, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
+        self.cols_bytes = np.empty(0, dtype=np.uint8)
 
-    def cols_view(self, key: tuple, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A cached ``shape`` view of ``cols``, growing ``cols`` if it is short."""
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        if self.cols.nbytes < nbytes:
-            self.cols = np.empty(nbytes, dtype=np.uint8)
-            self.views.clear()
-        elif len(self.views) >= self.KEYS:
-            self.views.clear()
-        view = self.views[key] = self.cols[:nbytes].view(dtype).reshape(shape)
+    def padded(
+        self, shape: tuple[int, ...], dtype: np.dtype, padding: int
+    ) -> tuple[np.ndarray, bool]:
+        """(buffer, fresh): this key's padded-input array; ``fresh`` when
+        it was just allocated, so its borders still need zeroing."""
+        key = (shape, dtype.str, padding)
+        buf = self._padded.get(key)
+        if buf is not None:
+            return buf, False
+        if len(self._padded) >= self.KEYS:
+            self._padded.clear()
+        buf = self._padded[key] = np.empty(shape, dtype=dtype)
+        return buf, True
+
+    def cols(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """A ``shape`` view of the shared cols buffer, growing it if short."""
+        key = (shape, dtype.str)
+        view = self._views.get(key)
+        if view is not None:
+            return view
+        nbytes = math.prod(shape) * dtype.itemsize
+        if self.cols_bytes.nbytes < nbytes:
+            self.cols_bytes = np.empty(nbytes, dtype=np.uint8)
+            self._views.clear()
+        elif len(self._views) >= self.KEYS:
+            self._views.clear()
+        view = self._views[key] = self.cols_bytes[:nbytes].view(dtype).reshape(shape)
         return view
 
 
@@ -171,9 +190,10 @@ class Backend:
     ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
         """Unfold sliding windows into columns.
 
-        The input is padded through :meth:`_padded_scratch`; ``cols`` is
-        always a fresh array, because the training tape keeps it for
-        the weight VJP.
+        The input is padded through :meth:`_padded_scratch`.  ``cols`` is
+        always a fresh copy, never a view of that scratch (a 1x1 kernel
+        at stride 1 has C-contiguous windows), because the training tape
+        keeps it for the weight VJP past this thread's next conv.
 
         Returns:
             cols of shape (N, C*kh*kw, Ho*Wo) and (Hp, Wp, Ho, Wo).
@@ -182,7 +202,7 @@ class Backend:
         dims = conv_geometry(h, w, kh, kw, stride, padding)
         ho, wo = dims[2], dims[3]
         windows = _windows(self._padded_scratch(x, padding), kh, kw, stride, ho, wo)
-        return np.ascontiguousarray(windows).reshape(n, c * kh * kw, ho * wo), dims
+        return windows.copy().reshape(n, c * kh * kw, ho * wo), dims
 
     def col2im(
         self,
@@ -255,11 +275,13 @@ class Backend:
         path's arena buffers); writing into it must not change any bit
         of the result.  This base implementation computes through the
         subclass's :meth:`conv2d` and copies, which preserves the
-        subclass's reduction semantics; only :class:`EinsumBackend`
-        uses it.  The BLAS backends override it with the direct-write
-        kernel :meth:`_conv2d_infer_into` for every call, allocating
-        ``out`` when it is not given, so eager no-grad inference and
-        compiled replay run the same code.
+        subclass's reduction semantics (e.g. :class:`EinsumBackend`).
+        The BLAS backends run the direct-write kernel
+        :meth:`_conv2d_infer_into` whenever ``out`` is given, and
+        :class:`SplitBackend` also allocates ``out`` and runs it when it
+        is not; :class:`NumpyBackend`'s eager ``out=None`` calls still
+        come here, through the training forward.  Both routes run the
+        same GEMM on the same cols, so the bytes are the same.
         """
         res, _, _ = self.conv2d(x, w_mat, kh, kw, stride, padding)
         if out is None:
@@ -297,13 +319,8 @@ class Backend:
             return x
         h, w = x.shape[-2], x.shape[-1]
         shape = (*x.shape[:-2], h + 2 * padding, w + 2 * padding)
-        padded = self._scratch_pool().padded
-        key = (shape, x.dtype.str, padding)
-        xp = padded.get(key)
-        if xp is None:
-            if len(padded) >= _ScratchPool.KEYS:
-                padded.clear()
-            xp = padded[key] = np.empty(shape, dtype=x.dtype)
+        xp, fresh = self._scratch_pool().padded(shape, x.dtype, padding)
+        if fresh:
             xp[..., :padding, :] = 0.0
             xp[..., -padding:, :] = 0.0
             xp[..., padding:-padding, :padding] = 0.0
@@ -322,12 +339,7 @@ class Backend:
         (N, G, Ci, kh, kw, Ho, Wo) directly.  The result is valid only
         until this thread's next conv.
         """
-        shape = (*xp.shape[:-2], kh, kw, ho, wo)
-        pool = self._scratch_pool()
-        key = (shape, xp.dtype.str)
-        buf = pool.views.get(key)
-        if buf is None:
-            buf = pool.cols_view(key, shape, xp.dtype)
+        buf = self._scratch_pool().cols((*xp.shape[:-2], kh, kw, ho, wo), xp.dtype)
         np.copyto(buf, _windows(xp, kh, kw, stride, ho, wo))
         return buf
 
@@ -496,12 +508,12 @@ class NumpyBackend(Backend):
 
     def conv2d_infer(self, x, w_mat, kh, kw, stride, padding, out=None):
         if out is None:
-            out = _conv_out(x, w_mat, kh, kw, stride, padding)
+            return Backend.conv2d_infer(self, x, w_mat, kh, kw, stride, padding)
         return self._conv2d_infer_into(x, w_mat, kh, kw, stride, padding, out)
 
     def conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding, out=None):
         if out is None:
-            out = _conv_out(x, w_flat, kh, kw, stride, padding)
+            return Backend.conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding)
         return self._conv2d_grouped_infer_into(x, w_flat, kh, kw, stride, padding, out)
 
 

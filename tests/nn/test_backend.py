@@ -314,62 +314,58 @@ def test_im2col_col2im_oracle_smoke():
     _check_lowering(current_backend(), (3, 2, 5, 4), 3, 2, 4, seed=31)
 
 
+def test_im2col_cols_outlive_the_padded_scratch():
+    """cols never aliases the recycled padded input, even where its
+    windows are C-contiguous (1x1 kernel at stride 1; a kernel covering
+    the whole padded input), so a later same-shape call cannot rewrite
+    cols the tape still holds."""
+    rng = np.random.default_rng(35)
+    backend = NumpyBackend()
+    for k in (1, 3):
+        first = rng.standard_normal((2, 3, 1, 1))
+        cols, _ = backend.im2col(first, k, k, 1, 1)
+        kept = cols.copy()
+        backend.im2col(rng.standard_normal((2, 3, 1, 1)), k, k, 1, 1)
+        assert _same_bytes(cols, kept)
+        assert _same_bytes(cols, _oracle_im2col(first, k, k, 1, 1)[0])
+
+
 # ----------------------------------------------------------------------
-# eager inference routing and the scratch pool
+# inference kernels and the scratch pool
 # ----------------------------------------------------------------------
-class TestEagerInferenceRouting:
-    """On NumpyBackend, eager no-grad convs (``out=None``) run the same
-    direct-write kernels as compiled replay (``out=`` given), never the
-    training forward."""
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 4)])
+def test_infer_out_none_equals_out_path_and_training_forward(stride, padding):
+    """On NumpyBackend, eager no-grad convs (``out=None``), the compiled
+    replay's direct-write kernels (``out=`` given) and the training
+    forward give the same bytes."""
+    rng = np.random.default_rng(32)
+    x = _signed_zeros(rng, (3, 4, 9, 8))
+    w_mat = rng.standard_normal((5, 4 * 9))
+    xg = _signed_zeros(rng, (2, 3, 2, 9, 8))
+    w_flat = rng.standard_normal((3, 4, 2 * 9))
+    backend = NumpyBackend()
+    trained = backend.conv2d(x, w_mat, 3, 3, stride, padding)[0]
+    eager = backend.conv2d_infer(x, w_mat, 3, 3, stride, padding)
+    into = backend.conv2d_infer(x, w_mat, 3, 3, stride, padding, out=np.empty_like(eager))
+    assert _same_bytes(eager, into) and _same_bytes(eager, trained)
+    trained_g = backend.conv2d_grouped(xg, w_flat, 3, 3, stride, padding)[0]
+    eager_g = backend.conv2d_grouped_infer(xg, w_flat, 3, 3, stride, padding)
+    into_g = backend.conv2d_grouped_infer(
+        xg, w_flat, 3, 3, stride, padding, out=np.empty_like(eager_g)
+    )
+    assert _same_bytes(eager_g, into_g) and _same_bytes(eager_g, trained_g)
 
-    def _refuse_training_forward(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("eager inference reached the training forward")
 
-        for name in ("conv2d", "conv2d_grouped", "im2col"):
-            monkeypatch.setattr(Backend, name, refuse)
-
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 4)])
-    def test_out_none_equals_out_path_and_training_forward(self, monkeypatch, stride, padding):
-        rng = np.random.default_rng(32)
-        x = _signed_zeros(rng, (3, 4, 9, 8))
-        w_mat = rng.standard_normal((5, 4 * 9))
-        xg = _signed_zeros(rng, (2, 3, 2, 9, 8))
-        w_flat = rng.standard_normal((3, 4, 2 * 9))
-        backend = NumpyBackend()
-        trained = backend.conv2d(x, w_mat, 3, 3, stride, padding)[0]
-        trained_g = backend.conv2d_grouped(xg, w_flat, 3, 3, stride, padding)[0]
-        self._refuse_training_forward(monkeypatch)
-
-        eager = backend.conv2d_infer(x, w_mat, 3, 3, stride, padding)
-        into = backend.conv2d_infer(x, w_mat, 3, 3, stride, padding, out=np.empty_like(eager))
-        assert _same_bytes(eager, into) and _same_bytes(eager, trained)
-        eager_g = backend.conv2d_grouped_infer(xg, w_flat, 3, 3, stride, padding)
-        into_g = backend.conv2d_grouped_infer(
-            xg, w_flat, 3, 3, stride, padding, out=np.empty_like(eager_g)
-        )
-        assert _same_bytes(eager_g, into_g) and _same_bytes(eager_g, trained_g)
-
-    def test_eager_layers_never_reach_training_forward(self, monkeypatch):
-        rng = np.random.default_rng(33)
-        xd = rng.standard_normal((2, 3, 8, 8))
-        wd = rng.standard_normal((4, 3, 3, 3))
-        xg = rng.standard_normal((2, 4, 2, 8, 8))
-        wg = rng.standard_normal((4, 3, 2, 3, 3))
-        self._refuse_training_forward(monkeypatch)
-        with use_backend(NumpyBackend()), no_grad():
-            assert conv2d(Tensor(xd), Tensor(wd), padding=1).shape == (2, 4, 8, 8)
-            assert conv2d_grouped(Tensor(xg), Tensor(wg), padding=1).shape == (2, 4, 3, 8, 8)
-
-    def test_cols_scratch_pins_the_largest_request_not_the_sum(self):
-        backend = NumpyBackend()
-        rng = np.random.default_rng(34)
-        w_mat = rng.standard_normal((4, 3 * 9))
-        batches = (2, 5, 1, 8, 3, 7, 4, 6)
-        for n in batches:
-            backend.conv2d_infer(rng.standard_normal((n, 3, 10, 10)), w_mat, 3, 3, 1, 1)
-        largest = max(batches) * 3 * 9 * 10 * 10 * 8
-        assert backend._scratch_pool().cols.nbytes == largest
+def test_cols_scratch_pins_the_largest_request_not_the_sum():
+    backend = NumpyBackend()
+    rng = np.random.default_rng(34)
+    w_mat = rng.standard_normal((4, 3 * 9))
+    batches = (2, 5, 1, 8, 3, 7, 4, 6)
+    for n in batches:
+        out = np.empty((n, 4, 10, 10))
+        backend.conv2d_infer(rng.standard_normal((n, 3, 10, 10)), w_mat, 3, 3, 1, 1, out=out)
+    largest = max(batches) * 3 * 9 * 10 * 10 * 8
+    assert backend._scratch_pool().cols_bytes.nbytes == largest
 
 
 # ----------------------------------------------------------------------
