@@ -92,14 +92,16 @@ def conv_geometry(
 def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """Read-only (..., kh, kw, Ho, Wo) view of the sliding windows of a
     pre-padded input; leading dims pass through."""
-    strides = xp.strides
-    sh, sw = strides[-2], strides[-1]
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(*xp.shape[:-2], kh, kw, ho, wo),
-        strides=(*strides[:-2], sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
+    *lead, sh, sw = xp.strides
+    shape = (*xp.shape[:-2], kh, kw, ho, wo)
+    strides = (*lead, sh, sw, sh * stride, sw * stride)
+    if not xp.flags.c_contiguous:
+        return np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
+    # The same view through the ndarray constructor, which accepts only
+    # contiguous buffers and costs about a fifth of as_strided per call.
+    view = np.ndarray(shape, xp.dtype, xp, 0, strides)
+    view.flags.writeable = False
+    return view
 
 
 def _tap_window(k: int, stride: int, padding: int, out: int, size: int) -> tuple[slice, slice]:
@@ -112,17 +114,37 @@ def _tap_window(k: int, stride: int, padding: int, out: int, size: int) -> tuple
     return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
 
 
+# Cols budget of one direct-write chunk: half of a 2 MiB L2, so a chunk's
+# im2col is still in cache when its GEMM reads it back.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunks(n: int, groups: int, slice_bytes: int) -> list[tuple[slice, ...]]:
+    """Index tuples of chunks over the (N, G) grid of GEMM slices whose
+    cols each take ``slice_bytes``: ``(samples,)`` runs of as many whole
+    samples as fit in :data:`_CHUNK_BYTES`, else ``(sample, groups)``
+    runs of groups within one sample.  Each chunk holds at least one
+    slice."""
+    if groups == 1 or groups * slice_bytes <= _CHUNK_BYTES:
+        step = max(1, _CHUNK_BYTES // (groups * slice_bytes))
+        return [(slice(i, i + step),) for i in range(0, n, step)]
+    step = max(1, _CHUNK_BYTES // slice_bytes)
+    runs = range(0, groups, step)
+    return [(slice(i, i + 1), slice(j, j + step)) for i in range(n) for j in runs]
+
+
 class _ScratchPool:
     """One thread's recycled conv buffers: padded inputs for every
-    im2col, cols for the direct-write inference kernels.
+    im2col, cols for the direct-write inference kernel.
 
-    Bounded by bytes rather than by shape count.  Every im2col matrix
-    lives in one grow-only buffer reached through a cached view per
-    shape, so the pool pins the largest request's cols, not the sum over
-    every shape it has served.  Padded inputs, about a ninth of a 3x3
-    conv's cols, keep one array per (shape, padding) key, so their zero
-    borders are written once.  Each of the two key caches is cleared
-    whole when it reaches ``KEYS`` entries.
+    Bounded by bytes rather than by shape count.  The kernel's cols live
+    in one grow-only buffer reached through a cached view per shape, and
+    it fills them one chunk at a time, so the pool pins at most
+    :data:`_CHUNK_BYTES` of cols (one GEMM slice's when a single slice
+    is larger), whatever the batch.  Padded inputs, about a ninth of a
+    3x3 conv's cols, keep one array per (shape, padding) key, so their
+    zero borders are written once.  Each of the two key caches is
+    cleared whole when it reaches ``KEYS`` entries.
     """
 
     KEYS = 16
@@ -276,12 +298,13 @@ class Backend:
         of the result.  This base implementation computes through the
         subclass's :meth:`conv2d` and copies, which preserves the
         subclass's reduction semantics (e.g. :class:`EinsumBackend`).
-        The BLAS backends run the direct-write kernel
-        :meth:`_conv2d_infer_into` whenever ``out`` is given, and
+        The BLAS backends run the cache-blocked direct-write kernel
+        :meth:`_conv_infer_into` whenever ``out`` is given, and
         :class:`SplitBackend` also allocates ``out`` and runs it when it
         is not; :class:`NumpyBackend`'s eager ``out=None`` calls still
-        come here, through the training forward.  Both routes run the
-        same GEMM on the same cols, so the bytes are the same.
+        come here, through the training forward.  The kernel runs the
+        same per-slice GEMMs on the same cols, however it chunks them,
+        so the bytes are the same.
         """
         res, _, _ = self.conv2d(x, w_mat, kh, kw, stride, padding)
         if out is None:
@@ -291,7 +314,7 @@ class Backend:
 
     def _scratch_pool(self) -> _ScratchPool:
         """This thread's scratch pool: padded inputs for every im2col,
-        cols for the direct-write inference kernels."""
+        cols for the direct-write inference kernel."""
         local = getattr(self, "_scratch_local", None)
         if local is None:
             # Benign race: concurrent first calls may each build a
@@ -328,39 +351,43 @@ class Backend:
         xp[..., padding:-padding, padding:-padding] = x
         return xp
 
-    def _cols_scratch(
-        self, xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int
+    def _conv_infer_into(
+        self,
+        x: np.ndarray,
+        w: np.ndarray,
+        kh: int,
+        kw: int,
+        stride: int,
+        padding: int,
+        out: np.ndarray,
     ) -> np.ndarray:
-        """im2col of a pre-padded input into the pool's shared cols buffer.
+        """Cache-blocked inference conv writing straight into ``out``.
 
-        The same windows, copied in the same order, as :meth:`im2col`;
-        only the destination is recycled rather than fresh.  Leading dims
-        pass through, so grouped (N, G, Ci, Hp, Wp) inputs produce
-        (N, G, Ci, kh, kw, Ho, Wo) directly.  The result is valid only
-        until this thread's next conv.
+        Plain: x (N, Ci, H, W), w (Co, Ci*kh*kw), out (N, Co, Ho, Wo).
+        Grouped: x (N, G, Ci, H, W), w (G, Co, Ci*kh*kw), out
+        (N, G, Co, Ho, Wo).  The whole input is padded once; then each
+        :func:`_chunks` chunk of (sample, group) slices copies its
+        windows into the pool's recycled cols buffer and runs its GEMMs
+        into its slice of ``out`` while those cols are still in cache.
+        numpy's batched matmul runs one GEMM per 2-D slice, and every
+        slice keeps the (Co, K) x (K, P) dimensions and operand bytes of
+        the training forward, so the bits are the same for any chunking.
+        Only BLAS-parity backends may use this; einsum semantics go
+        through the compute-then-copy base path.
         """
-        buf = self._scratch_pool().cols((*xp.shape[:-2], kh, kw, ho, wo), xp.dtype)
-        np.copyto(buf, _windows(xp, kh, kw, stride, ho, wo))
-        return buf
-
-    def _conv2d_infer_into(
-        self, x: np.ndarray, w_mat: np.ndarray, kh: int, kw: int, stride: int, padding: int, out: np.ndarray
-    ) -> np.ndarray:
-        """Reference inference conv writing straight into ``out``.
-
-        The GEMM call is dimension-identical to the allocating path in
-        :meth:`conv2d` (only the source/destination buffers differ, via
-        recycled scratch), so the bits are too.  Only BLAS-parity
-        backends may use this; einsum semantics go through the
-        compute-then-copy base path.
-        """
-        n, c, h, w = x.shape
-        co = w_mat.shape[0]
-        _, _, ho, wo = conv_geometry(h, w, kh, kw, stride, padding)
-        cols = self._cols_scratch(self._padded_scratch(x, padding), kh, kw, stride, ho, wo)
-        np.matmul(
-            w_mat, cols.reshape(n, c * kh * kw, ho * wo), out=out.reshape(n, co, ho * wo)
-        )
+        *lead, ci, h, wd = x.shape
+        _, _, ho, wo = conv_geometry(h, wd, kh, kw, stride, padding)
+        k, p = ci * kh * kw, ho * wo
+        xp = self._padded_scratch(x, padding)
+        windows = _windows(xp, kh, kw, stride, ho, wo)
+        out_flat = out.reshape(*lead, w.shape[-2], p)
+        pool = self._scratch_pool()
+        for index in _chunks(lead[0], math.prod(lead[1:]), k * p * xp.dtype.itemsize):
+            chunk = windows[index]
+            cols = pool.cols(chunk.shape, xp.dtype)
+            np.copyto(cols, chunk)
+            gemm_cols = cols.reshape(*chunk.shape[: len(lead)], k, p)
+            np.matmul(w[index[1:]], gemm_cols, out=out_flat[index])
         return out
 
     def conv2d_grad_weight(self, grad_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -435,29 +462,6 @@ class Backend:
         np.copyto(out, res)
         return out
 
-    def _conv2d_grouped_infer_into(
-        self,
-        x: np.ndarray,
-        w_flat: np.ndarray,
-        kh: int,
-        kw: int,
-        stride: int,
-        padding: int,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """Grouped analogue of :meth:`_conv2d_infer_into` (same caveats)."""
-        n, groups, ci, h, w = x.shape
-        co = w_flat.shape[1]
-        _, _, ho, wo = conv_geometry(h, w, kh, kw, stride, padding)
-        cols = self._cols_scratch(self._padded_scratch(x, padding), kh, kw, stride, ho, wo)
-        p = ho * wo
-        np.matmul(
-            w_flat[None],
-            cols.reshape(n, groups, ci * kh * kw, p),
-            out=out.reshape(n, groups, co, p),
-        )
-        return out
-
     def conv2d_grouped_grad_weight(
         self, grad_flat: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
@@ -509,12 +513,12 @@ class NumpyBackend(Backend):
     def conv2d_infer(self, x, w_mat, kh, kw, stride, padding, out=None):
         if out is None:
             return Backend.conv2d_infer(self, x, w_mat, kh, kw, stride, padding)
-        return self._conv2d_infer_into(x, w_mat, kh, kw, stride, padding, out)
+        return self._conv_infer_into(x, w_mat, kh, kw, stride, padding, out)
 
     def conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding, out=None):
         if out is None:
             return Backend.conv2d_grouped_infer(self, x, w_flat, kh, kw, stride, padding)
-        return self._conv2d_grouped_infer_into(x, w_flat, kh, kw, stride, padding, out)
+        return self._conv_infer_into(x, w_flat, kh, kw, stride, padding, out)
 
 
 def _conv_out(
@@ -548,7 +552,7 @@ class SplitBackend(Backend):
     dimensions it has in the whole-batch call, and outputs and input
     gradients stay **bit-identical** to :class:`NumpyBackend`.  Inference
     spans write straight into ``out`` through the reference direct-write
-    kernels, so peak im2col memory is one span's worth.  Training
+    kernel, so each worker thread's im2col memory is one chunk.  Training
     primitives split only when ``threads > 1``.  The weight gradient is
     never split: it sums per-sample GEMMs over the batch, and cutting
     the batch would change the order of that sum.
@@ -588,23 +592,6 @@ class SplitBackend(Backend):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SplitBackend(threads={self.threads}, block={self.block})"
-
-    def _scratch_pool(self) -> _ScratchPool:
-        """A fresh, empty pool per call: call-scoped span buffers.
-
-        A span's padded input and im2col matrix are freed when the span
-        ends, and the allocator hands the same memory back next call.
-        A pinned pool measured slower: under glibc it keeps malloc's
-        mmap/trim thresholds low, so the eager forward's other multi-MB
-        temporaries are mapped and page-faulted afresh on every call
-        (FRCONV[h], batch 16, threaded:2 on 2 CPUs: ~2500 extra minor
-        faults and +4 ms per call).  That measurement predates the base
-        class's byte-bounded pool, which pins one cols buffer sized to
-        the largest request instead of up to 16 arrays, but it pins
-        that buffer all the same, so the mechanism still applies; it
-        has not been re-measured.
-        """
-        return _ScratchPool()
 
     # -- span planner and runner ------------------------------------------
     def _parallel(self, work: int) -> bool:
@@ -667,7 +654,7 @@ class SplitBackend(Backend):
 
         def fill(span: tuple[int, int]) -> None:
             i0, i1 = span
-            self._conv2d_infer_into(x[i0:i1], w_mat, kh, kw, stride, padding, out[i0:i1])
+            self._conv_infer_into(x[i0:i1], w_mat, kh, kw, stride, padding, out[i0:i1])
 
         self._run(fill, self._spans(n, out.size, self.block), out.size)
         return out
@@ -681,7 +668,7 @@ class SplitBackend(Backend):
         def fill(span: tuple[int, int]) -> None:
             s = _sliced(axis, span)
             ws = w_flat if axis == 0 else w_flat[span[0] : span[1]]
-            self._conv2d_grouped_infer_into(x[s], ws, kh, kw, stride, padding, out[s])
+            self._conv_infer_into(x[s], ws, kh, kw, stride, padding, out[s])
 
         self._run(fill, spans, out.size)
         return out

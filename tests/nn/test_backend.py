@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.nn import backend as backend_module
 from repro.nn.backend import (
     BACKEND_ENV_VAR,
     Backend,
@@ -366,6 +367,108 @@ def test_cols_scratch_pins_the_largest_request_not_the_sum():
         backend.conv2d_infer(rng.standard_normal((n, 3, 10, 10)), w_mat, 3, 3, 1, 1, out=out)
     largest = max(batches) * 3 * 9 * 10 * 10 * 8
     assert backend._scratch_pool().cols_bytes.nbytes == largest
+    # frconv-64's grouped conv: 13 MB of cols in one piece, but the
+    # kernel fills them a chunk at a time, so the pool pins one chunk.
+    x = rng.standard_normal((4, 8, 4, 38, 38))
+    out = np.empty((4, 8, 4, 38, 38))
+    backend.conv2d_grouped_infer(x, rng.standard_normal((8, 4, 4 * 9)), 3, 3, 1, 1, out=out)
+    held = backend._scratch_pool().cols_bytes.nbytes
+    slice_bytes = 4 * 9 * 38 * 38 * 8
+    if slice_bytes > backend_module._CHUNK_BYTES:
+        assert held == max(largest, slice_bytes)
+    else:
+        assert largest <= held <= backend_module._CHUNK_BYTES
+
+
+# ----------------------------------------------------------------------
+# chunk boundaries of the cache-blocked direct-write kernel
+# ----------------------------------------------------------------------
+# (id, grouped, batch, budget in cols bytes of one (sample, group) GEMM
+# slice, samples per chunk, groups per chunk).  Grouped inputs have 5
+# groups, plain ones 1, so every run of 2 leaves a short last chunk.
+_CHUNK_CASES = [
+    ("plain-one-slice", False, 5, 1.0, 1, 1),
+    ("plain-whole-samples", False, 5, 2.0, 2, 1),
+    ("plain-slice-over-budget", False, 5, 0.5, 1, 1),
+    ("grouped-one-slice", True, 5, 1.0, 1, 1),
+    ("grouped-whole-samples", True, 5, 10.0, 2, 5),
+    ("grouped-group-runs", True, 5, 2.0, 1, 2),
+    ("grouped-slice-over-budget", True, 5, 0.5, 1, 1),
+    ("grouped-batch1-group-runs", True, 1, 2.0, 1, 2),
+]
+
+
+def _conv_setup(grouped, n, stride, padding, seed):
+    """(x with signed zeros, weight, cols bytes of one GEMM slice)."""
+    rng = np.random.default_rng(seed)
+    if grouped:
+        x = _signed_zeros(rng, (n, 5, 2, 7, 6))
+        w = rng.standard_normal((5, 3, 2 * 9))
+    else:
+        x = _signed_zeros(rng, (n, 3, 7, 6))
+        w = rng.standard_normal((4, 3 * 9))
+    _, _, ho, wo = backend_module.conv_geometry(7, 6, 3, 3, stride, padding)
+    return x, w, x.shape[-3] * 9 * ho * wo * 8
+
+
+def _check_chunked(backends, grouped, n, stride, padding, seed):
+    """out= bytes equal the training forward on NumpyBackend."""
+    x, w, _ = _conv_setup(grouped, n, stride, padding, seed)
+    if grouped:
+        ref = NumpyBackend().conv2d_grouped(x, w, 3, 3, stride, padding)[0]
+    else:
+        ref = NumpyBackend().conv2d(x, w, 3, 3, stride, padding)[0]
+    infer = "conv2d_grouped_infer" if grouped else "conv2d_infer"
+    for backend in backends:
+        out = np.full_like(ref, np.nan)
+        getattr(backend, infer)(x, w, 3, 3, stride, padding, out=out)
+        assert _same_bytes(out, ref), f"chunked {infer} differs on {backend!r}"
+
+
+@pytest.mark.parametrize(
+    ("grouped", "n", "budget", "samples", "groups"),
+    [case[1:] for case in _CHUNK_CASES],
+    ids=[case[0] for case in _CHUNK_CASES],
+)
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_chunked_direct_write_equals_training_forward(
+    monkeypatch, grouped, n, budget, samples, groups, stride, padding
+):
+    """Every chunk split of the direct-write kernel writes the training
+    forward's bytes, signed zeros included, on every backend: whole
+    calls, batch-axis spans and (at batch 1) group-axis spans."""
+    _, _, slice_bytes = _conv_setup(grouped, n, stride, padding, seed=40)
+    monkeypatch.setattr(backend_module, "_CHUNK_BYTES", int(budget * slice_bytes))
+    total = 5 if grouped else 1
+    runs = [
+        tuple(
+            ix.indices(size)[:2]
+            for ix, size in zip(index, (n, total)[: len(index)], strict=True)
+        )
+        for index in backend_module._chunks(n, total, slice_bytes)
+    ]
+    if groups == total:  # whole samples
+        expected = [((i, min(i + samples, n)),) for i in range(0, n, samples)]
+    else:
+        expected = [
+            ((i, i + 1), (j, min(j + groups, total)))
+            for i in range(n)
+            for j in range(0, total, groups)
+        ]
+    assert runs == expected
+    _check_chunked(
+        [NumpyBackend(), *_alternative_backends()], grouped, n, stride, padding, seed=40
+    )
+
+
+@pytest.mark.smoke
+def test_chunked_direct_write_smoke(monkeypatch):
+    """Group runs with a short last run, on whatever backend is active
+    (CI runs this under every REPRO_BACKEND)."""
+    _, _, slice_bytes = _conv_setup(True, 3, 1, 1, seed=41)
+    monkeypatch.setattr(backend_module, "_CHUNK_BYTES", 2 * slice_bytes)
+    _check_chunked([current_backend()], True, 3, 1, 1, seed=41)
+    _check_chunked([current_backend()], False, 3, 2, 1, seed=41)
 
 
 # ----------------------------------------------------------------------
