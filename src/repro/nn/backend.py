@@ -92,16 +92,14 @@ def conv_geometry(
 def _windows(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """Read-only (..., kh, kw, Ho, Wo) view of the sliding windows of a
     pre-padded input; leading dims pass through."""
-    *lead, sh, sw = xp.strides
-    shape = (*xp.shape[:-2], kh, kw, ho, wo)
-    strides = (*lead, sh, sw, sh * stride, sw * stride)
-    if not xp.flags.c_contiguous:
-        return np.lib.stride_tricks.as_strided(xp, shape, strides, writeable=False)
-    # The same view through the ndarray constructor, which accepts only
-    # contiguous buffers and costs about a fifth of as_strided per call.
-    view = np.ndarray(shape, xp.dtype, xp, 0, strides)
-    view.flags.writeable = False
-    return view
+    strides = xp.strides
+    sh, sw = strides[-2], strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(*xp.shape[:-2], kh, kw, ho, wo),
+        strides=(*strides[:-2], sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
 
 
 def _tap_window(k: int, stride: int, padding: int, out: int, size: int) -> tuple[slice, slice]:
