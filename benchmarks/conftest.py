@@ -5,9 +5,9 @@ the timing pytest-benchmark records, writes the formatted rows to
 ``benchmarks/results/<name>.txt`` so the reproduction output survives
 pytest's output capture.  A machine-readable ``<name>.json`` twin is
 written alongside (structured rows via the experiment artifact encoder,
-plus the host metadata perf numbers can't be compared without) so CI
-can archive perf numbers as workflow artifacts and the perf-regression
-gate (``benchmarks/perf_gate.py``) can judge them.
+plus the host metadata), so downstream tooling never parses tables.
+Performance is measured by ``benchmarks/e2e/``, which records the same
+:func:`host_metadata` in its result files.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def host_metadata() -> dict:
     """The environment facts a perf number depends on.
 
-    Recorded in every benchmark JSON twin so regressions can be told
-    apart from hardware differences: a 4-core baseline number means
-    nothing on a 1-core runner, and the perf gate uses ``usable_cpus``
-    to skip ratio assertions the host cannot express.
+    Recorded in every benchmark JSON twin and in every
+    ``benchmarks/e2e/run.py --out`` result, so a number can be told
+    apart from a hardware difference: a 4-core figure means nothing on a
+    1-core runner.
     """
     return {
         "cpu_count": os.cpu_count(),

@@ -17,7 +17,8 @@ in-tile requests — is bit-identical to a serial Predictor call on the
 same bytes.  :mod:`~repro.serving.loadgen` drives either server with
 deterministic closed-loop or open-loop Poisson load;
 :mod:`~repro.serving.bench` is the harness behind
-``python -m repro serve-bench``.
+``python -m repro serve-bench`` and the home of ``make_bench_model``,
+the small denoiser the serving and training tests share.
 """
 
 from ..comms.shm import RingClient, ShmRing, active_segments

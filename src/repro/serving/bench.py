@@ -1,8 +1,7 @@
-"""The serve-bench harness: per-request vs micro-batched serving.
+"""The serve-bench harness behind ``python -m repro serve-bench``.
 
-Shared by the ``python -m repro serve-bench`` CLI subcommand and
-``benchmarks/bench_serving.py``: build a small trained-shaped model, run
-the same seeded closed-loop workload three ways per backend —
+:func:`run_serve_bench` builds a small trained-shaped model and runs the
+same seeded closed-loop workload three ways per backend —
 
 * ``serial``   — one Predictor, requests one at a time (no concurrency);
 * ``per-request`` — the server with ``max_batch=1`` (concurrent dispatch,
@@ -10,9 +9,12 @@ the same seeded closed-loop workload three ways per backend —
 * ``micro-batched`` — the server with the requested ``max_batch`` and
   ``max_wait_ms``;
 
-— assert every way produced bit-identical outputs, and report
-throughput/latency rows.  Determinism comes from the seeded workload and
-the batching-is-bit-exact guarantee of :mod:`repro.nn.inference`.
+— asserts every way produced bit-identical outputs, and reports
+throughput/latency rows.  :func:`run_sharded_bench` (``--procs N``) does
+the same for the process-sharded server against a 1-proc baseline, then
+replays an open-loop overload trace.  Determinism comes from the seeded
+workload and the batching-is-bit-exact guarantee of
+:mod:`repro.nn.inference`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,21 @@ __all__ = [
     "run_sharded_bench",
 ]
 
+#: Admission queue depths: the thread server in both serve-bench modes,
+#: and every closed-loop sharded run.
+SERVE_QUEUE_DEPTH = 64
+SHARDED_QUEUE_DEPTH = 32
+#: The overload replay offers this multiple of the 1-proc closed-loop
+#: throughput measured in the same run, so it overloads on any host.
+OVERLOAD_FACTOR = 1.5
+#: The overload replay's trace length, admission policy and
+#: deliberately small admission queue.
+OVERLOAD_REQUESTS = 48
+OVERLOAD_POLICY = "degrade"
+OVERLOAD_QUEUE_DEPTH = 4
+#: Latency objective the sharded runs report attainment against.
+SLO_MS = 250.0
+
 
 @dataclasses.dataclass(frozen=True)
 class ServeBenchConfig:
@@ -68,7 +85,6 @@ class ServeBenchConfig:
     workers: int = 2
     max_batch: int = 8
     max_wait_ms: float = 10.0
-    queue_depth: int = 64
     backends: Sequence[str] = ("numpy",)
     seed: int = 0
     compiled: bool = False
@@ -106,7 +122,7 @@ class ServeBenchReport:
             lines.append(
                 f"  {row['backend']:<12} {row['mode']:<14} "
                 f"{row['throughput_rps']:8.1f} {row['latency_ms_mean']:8.2f} "
-                f"{row['latency_ms_p95']:8.2f} {row.get('mean_batch_size', 1.0):10.2f}"
+                f"{row['latency_ms_p95']:8.2f} {row['mean_batch_size']:10.2f}"
             )
         for backend in cfg.backends:
             lines.append(
@@ -130,28 +146,20 @@ def make_bench_model(seed: int = 0) -> Module:
     return model
 
 
-def _row(backend: str, mode: str, result: LoadResult, extra: dict | None = None) -> dict:
-    row = {
+def _row(backend: str, mode: str, result: LoadResult, mean_batch_size: float = 1.0) -> dict:
+    return {
         "backend": backend,
         "mode": mode,
-        "requests": result.requests,
-        "duration_s": result.duration_s,
         "throughput_rps": result.throughput_rps,
         "latency_ms_mean": result.latency_ms_mean,
         "latency_ms_p95": result.latency_ms_p95,
+        "mean_batch_size": mean_batch_size,
     }
-    if extra:
-        row.update(extra)
-    return row
 
 
 # ----------------------------------------------------------------------
 # process-sharded serving bench
 # ----------------------------------------------------------------------
-#: The overload replay offers this multiple of the 1-proc closed-loop
-#: throughput measured in the same run, so it overloads on any host.
-OVERLOAD_FACTOR = 1.5
-
 
 @dataclasses.dataclass(frozen=True)
 class ShardedBenchConfig:
@@ -161,24 +169,19 @@ class ShardedBenchConfig:
     serves the same seeded mixed-shape workload, checked bit-identical
     against a serial Predictor); the open-loop phase replays a Poisson
     trace at :data:`OVERLOAD_FACTOR` times the 1-proc closed-loop
-    throughput against a deliberately small cluster to exercise the
-    ``overload_policy`` (rejections/degrades, tail latency).
+    throughput against a deliberately small cluster to exercise
+    :data:`OVERLOAD_POLICY` (rejections/degrades, tail latency).
     """
 
     clients: int = 8
     requests_per_client: int = 6
     image_size: int = 24
     procs: Sequence[int] = (1, 2)
-    queue_depth: int = 32
     max_batch: int = 8
     backend: str | None = None
     seed: int = 0
     compiled: bool = False
     tuned: bool = False
-    overload_requests: int = 48
-    overload_policy: str = "degrade"
-    overload_queue_depth: int = 4
-    slo_ms: float = 250.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,7 +204,7 @@ class ShardedBenchReport:
         cfg = self.config
         lines = [
             f"sharded-bench: {cfg.clients} clients x {cfg.requests_per_client} requests, "
-            f"{cfg.image_size}px mixed shapes, queue_depth={cfg.queue_depth}"
+            f"{cfg.image_size}px mixed shapes, queue_depth={SHARDED_QUEUE_DEPTH}"
             + (", compiled" if cfg.compiled else "")
             + (", tuned" if cfg.tuned else ""),
             f"  {'procs':>5} {'req/s':>8} {'lat ms':>8} {'p50 ms':>8} "
@@ -219,10 +222,10 @@ class ShardedBenchReport:
                 lines.append(f"  {procs} procs vs 1: {self.speedup(procs):.2f}x throughput")
         over = self.overload
         lines.append(
-            f"  overload ({cfg.overload_policy} @ {over['offered_rps']:.0f} req/s): "
+            f"  overload ({OVERLOAD_POLICY} @ {over['offered_rps']:.0f} req/s): "
             f"{over['completed']} completed, {over['rejected']} rejected, "
             f"{over['degraded']} degraded; p99 {over['latency_ms_p99']:.1f} ms, "
-            f"SLO {cfg.slo_ms:.0f}ms attainment {over['slo_attainment']:.3f}"
+            f"SLO {SLO_MS:.0f}ms attainment {over['slo_attainment']:.3f}"
         )
         lines.append(
             f"  outputs bit-identical to serial Predictor: {self.bit_identical}"
@@ -261,13 +264,13 @@ def run_sharded_bench(config: ShardedBenchConfig) -> ShardedBenchReport:
         with ShardedInferenceServer(
             factory,
             procs=procs,
-            queue_depth=config.queue_depth,
+            queue_depth=SHARDED_QUEUE_DEPTH,
             batch_size=config.max_batch,
             tile=max(48, size),
             backend=config.backend,
             compiled=config.compiled,
             tuned=config.tuned,
-            slo_ms=config.slo_ms,
+            slo_ms=SLO_MS,
         ) as server:
             result = run_closed_loop(server, workload)
             stats = server.stats()
@@ -275,8 +278,6 @@ def run_sharded_bench(config: ShardedBenchConfig) -> ShardedBenchReport:
         rows.append(
             {
                 "procs": procs,
-                "requests": result.requests,
-                "duration_s": result.duration_s,
                 "throughput_rps": result.throughput_rps,
                 "latency_ms_mean": result.latency_ms_mean,
                 "latency_ms_p50": result.latency_ms_p50,
@@ -284,41 +285,34 @@ def run_sharded_bench(config: ShardedBenchConfig) -> ShardedBenchReport:
                 "latency_ms_p99": result.latency_ms_p99,
                 "slo_attainment": result.slo_attainment,
                 "mean_batch_size": stats.mean_batch_size,
-                "respawns": stats.respawns,
             }
         )
     rate = OVERLOAD_FACTOR * next(row for row in rows if row["procs"] == 1)["throughput_rps"]
     trace = make_poisson_trace(
         rate,
-        config.overload_requests,
+        OVERLOAD_REQUESTS,
         shapes,
         seed=config.seed + 1,
     )
     with ShardedInferenceServer(
         factory,
         procs=min(config.procs),
-        queue_depth=config.overload_queue_depth,
-        overload=config.overload_policy,
+        queue_depth=OVERLOAD_QUEUE_DEPTH,
+        overload=OVERLOAD_POLICY,
         batch_size=config.max_batch,
         tile=max(48, size),
         backend=config.backend,
         compiled=config.compiled,
         tuned=config.tuned,
-        slo_ms=config.slo_ms,
+        slo_ms=SLO_MS,
     ) as server:
-        open_result = run_open_loop(server, trace, slo_ms=config.slo_ms)
+        open_result = run_open_loop(server, trace, slo_ms=SLO_MS)
         open_stats = server.stats()
     overload = {
-        "policy": config.overload_policy,
-        "offered": open_result.offered,
         "offered_rps": open_result.offered_rps,
         "completed": open_result.completed,
         "rejected": open_result.rejected,
         "degraded": open_stats.degraded,
-        "failed": open_result.failed,
-        "throughput_rps": open_result.throughput_rps,
-        "latency_ms_p50": open_result.latency_ms_p50,
-        "latency_ms_p95": open_result.latency_ms_p95,
         "latency_ms_p99": open_result.latency_ms_p99,
         "slo_attainment": open_result.slo_attainment,
     }
@@ -363,7 +357,7 @@ def run_serve_bench(config: ServeBenchConfig) -> ServeBenchReport:
                 workers=config.workers,
                 max_batch=max_batch,
                 max_wait_ms=max_wait_ms,
-                queue_depth=config.queue_depth,
+                queue_depth=SERVE_QUEUE_DEPTH,
                 backend=backend,
                 tile=max(48, size),
                 compiled=config.compiled,
@@ -372,16 +366,5 @@ def run_serve_bench(config: ServeBenchConfig) -> ServeBenchReport:
                 result = run_closed_loop(server, workload)
                 stats = server.stats()
             bit_identical = bit_identical and result.bit_identical_to(reference)
-            rows.append(
-                _row(
-                    backend,
-                    mode,
-                    result,
-                    {
-                        "mean_batch_size": stats.mean_batch_size,
-                        "max_batch_size": stats.max_batch_size,
-                        "batches": stats.batches,
-                    },
-                )
-            )
+            rows.append(_row(backend, mode, result, stats.mean_batch_size))
     return ServeBenchReport(config=config, rows=rows, bit_identical=bit_identical)

@@ -66,10 +66,10 @@ def _backend_factor(backend: str | None) -> float:
     name = name.strip().lower()
     if name == "threaded":
         jobs = int(arg) if arg else usable_cpu_count()
-        # A small constant chunking bonus applies even single-core: the
+        # A small, hand-set chunking bonus applies even single-core: the
         # per-group im2col working set shrinks below the monolithic
-        # path's (see bench_backends), which the SRAM term below cannot
-        # see because it prices the whole micro-batch.
+        # path's, which the SRAM term below cannot see because it
+        # prices the whole micro-batch.
         return 0.95 / _parallel_speedup(jobs)
     return 1.0  # numpy, and blocked's memory shaping (priced by the SRAM term)
 

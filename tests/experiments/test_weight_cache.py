@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments import registry, weights
+from repro.experiments import registry, runner, weights
 from repro.experiments.cli import run_one
 from repro.experiments.runner import make_task, run_quality
 from repro.experiments.settings import TINY
@@ -62,6 +62,19 @@ class TestWarmStart:
             assert other.final_train_loss == cold.final_train_loss
             for name, arr in cold.model.state_dict().items():
                 np.testing.assert_array_equal(other.model.state_dict()[name], arr)
+
+    def test_warm_start_never_trains(self, warm_cache, monkeypatch):
+        # The reason warm starts are faster: a cache hit builds no
+        # training engine at all.
+        data = make_task("denoise", FAST)
+        cold = run_quality("real", "denoise", FAST, data=data)  # trains + stores
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm start must not train")
+
+        monkeypatch.setattr(runner, "TrainEngine", refuse)
+        warm = run_quality("real", "denoise", FAST, data=data)
+        assert warm.psnr_db == cold.psnr_db
 
     def test_different_data_misses_cache(self, warm_cache):
         # Same recipe, different arrays: the content hash must keep the

@@ -2,7 +2,10 @@
 
 Each row's "Enforced by" cell is the contract that a test fails if the
 invariant breaks; a row naming a moved test file or a renamed CI job
-would silently enforce nothing.
+would silently enforce nothing.  Likewise every ``benchmarks/`` or
+``tests/`` path that the README, the architecture doc or a CI ``run:``
+step names must exist, so a deleted file cannot leave a step or a
+paragraph pointing at nothing.
 """
 
 import pathlib
@@ -54,3 +57,49 @@ def test_named_ci_jobs_exist(layer, cell):
     jobs = _ci_job_ids()
     for job in re.findall(r"\bCI ([A-Za-z0-9_-]+)", cell):
         assert job in jobs, f"{layer} names CI job {job!r}; jobs are {sorted(jobs)}"
+
+
+def _named_paths() -> list[tuple[str, str]]:
+    """(source, path) for every ``benchmarks/…`` or ``tests/…`` path the
+    docs name in backticks, or a CI ``run:`` step names."""
+    token = re.compile(r"(?:^|(?<=[\s(\"']))((?:benchmarks|tests)/[^\s`\"')]*)")
+    named = []
+    for doc in ("README.md", "docs/ARCHITECTURE.md"):
+        for span in re.findall(r"`([^`\n]+)`", (ROOT / doc).read_text()):
+            named += [(doc, path) for path in token.findall(span)]
+    run_indent = None
+    for line in (ROOT / ".github" / "workflows" / "ci.yml").read_text().splitlines():
+        indent = len(line) - len(line.lstrip())
+        if run_indent is not None and line.strip() and indent <= run_indent:
+            run_indent = None
+        step = re.match(r"\s*(?:- )?run:(.*)$", line)
+        if step:
+            run_indent = indent
+            line = step.group(1)
+        if run_indent is not None:
+            named += [("ci.yml", path) for path in token.findall(line)]
+    return sorted(
+        {
+            (source, path.split("::", 1)[0])
+            for source, path in named
+            if not re.search(r"[<{]", path)
+        }
+    )
+
+
+NAMED_PATHS = _named_paths()
+
+
+def test_named_paths_parse():
+    sources = {source for source, _ in NAMED_PATHS}
+    assert sources == {"README.md", "docs/ARCHITECTURE.md", "ci.yml"}, sources
+
+
+@pytest.mark.parametrize(
+    ("source", "path"), NAMED_PATHS, ids=[f"{s}:{p}" for s, p in NAMED_PATHS]
+)
+def test_named_paths_exist(source, path):
+    if any(char in path for char in "*?["):
+        assert list(ROOT.glob(path)), f"{source} names {path}, which matches no file"
+    else:
+        assert (ROOT / path).exists(), f"{source} names {path}, which does not exist"

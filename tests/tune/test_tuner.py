@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.models.ernet import dn_ernet_pu
+from repro.models.factory import make_factory
 from repro.nn.backend import available_backends, get_backend, use_backend
 from repro.nn.inference import CompiledPredictor, Predictor
 from repro.serving import InferenceServer
@@ -214,6 +215,22 @@ class TestBitIdentity:
     def test_real_tune_then_serve_is_bit_identical(self, model, tuning_dir):
         # End to end with a *measured* winner, not a planted one.
         tune_model(model, SHAPE, BATCH, seed=0, trials=1, top_k=4)
+        x = _probe()
+        np.testing.assert_array_equal(
+            Predictor(model, batch_size=BATCH, tuned=True)(x),
+            Predictor(model, batch_size=BATCH, tuned=False)(x),
+        )
+
+    def test_real_tune_then_serve_is_bit_identical_on_a_ring_model(self, tuning_dir):
+        # The FRCONV denoiser (RI4 ring, directional ReLU): grouped convs
+        # and tuple transforms under a measured winner, not a planted one.
+        model = dn_ernet_pu(blocks=1, ratio=1, factory=make_factory("ri4+fh"), seed=0)
+        rng = np.random.default_rng(2)
+        for param in model.parameters():
+            param.data[...] += 0.05 * rng.standard_normal(param.shape)
+        model.eval()
+        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=1, top_k=4)
+        assert lookup(model, SHAPE, BATCH) == entry
         x = _probe()
         np.testing.assert_array_equal(
             Predictor(model, batch_size=BATCH, tuned=True)(x),
