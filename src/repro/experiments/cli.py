@@ -444,8 +444,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 f"--shapes entries must be >= 2 (and even for denoise), got {size}"
             )
         sizes.append(size)
-    if not sizes or args.batch < 1 or args.trials < 1:
-        raise SystemExit("--shapes needs at least one size; --batch/--trials must be >= 1")
+    if not sizes or args.batch < 1 or args.trials < 1 or args.warmup < 0:
+        raise SystemExit(
+            "--shapes needs at least one size; --batch/--trials must be >= 1, "
+            "--warmup >= 0"
+        )
 
     scale = get_scale(args.scale)
     model = model_for_task(task, factory, scale, seed=args.seed)
@@ -473,7 +476,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             seed=args.seed,
             trials=args.trials,
             warmup=args.warmup,
-            top_k=args.top_k,
             cache=cache,
         )
         measured = sum(1 for t in entry.trials if t["median_s"] is not None)
@@ -709,12 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub_tune.add_argument(
         "--warmup", type=int, default=1, help="discarded runs per candidate (default 1)"
-    )
-    sub_tune.add_argument(
-        "--top-k",
-        type=int,
-        default=6,
-        help="analytically best candidates to measure (default 6)",
     )
     sub_tune.add_argument("--seed", type=int, default=0, help="probe input seed")
     sub_tune.add_argument(

@@ -305,7 +305,7 @@ class Predictor:
         its configured batch ceiling, persists the winning entry, and
         drops any already-resolved tuned delegates so the fresh entry
         takes effect immediately.  ``options`` forward to ``tune_model``
-        (``seed``, ``trials``, ``warmup``, ``top_k``, ``cache``).
+        (``seed``, ``trials``, ``warmup``, ``cache``, ``store``).
         Returns the stored :class:`~repro.tune.cache.TuningEntry`.
         """
         from ..tune import tune_model

@@ -1,10 +1,9 @@
-"""Roofline-seeded autotuning of inference schedules.
+"""Measured autotuning of inference schedules.
 
-``repro.tune`` closes the repo's hardware<->software loop: the analytic
-:mod:`repro.hardware` cost model ranks the backend x tile x micro-batch
-configuration space (:mod:`repro.tune.roofline`), short measured trials
-pick a winner under a bit-identity parity guard
-(:mod:`repro.tune.tuner`), and winners persist in a fingerprinted
+``repro.tune`` enumerates the backend x tile x micro-batch
+configuration space (:mod:`repro.tune.space`), times every candidate
+in short measured trials behind a bit-identity parity guard
+(:mod:`repro.tune.tuner`), and persists winners in a fingerprinted
 on-disk cache (:mod:`repro.tune.cache`) keyed by model spec, request
 shape, batch bucket, backend availability and host metadata — so a
 tuned schedule never silently transfers to a machine it was not
@@ -29,7 +28,6 @@ from .cache import (
     tuning_fingerprint,
     tuning_root,
 )
-from .roofline import analytic_cost, rank_candidates
 from .space import TunedConfig, bucket_batch, candidate_space, default_config
 from .tuner import lookup, model_label, tune_model
 
@@ -39,7 +37,6 @@ __all__ = [
     "TunedConfig",
     "TuningCache",
     "TuningEntry",
-    "analytic_cost",
     "bucket_batch",
     "candidate_space",
     "default_config",
@@ -47,7 +44,6 @@ __all__ = [
     "lookup",
     "model_label",
     "model_signature",
-    "rank_candidates",
     "tune_model",
     "tuned_enabled",
     "tuning_fingerprint",

@@ -175,8 +175,8 @@ class TuningEntry:
         default: The configuration the untuned path would have used.
         speedup: Default-over-winner median-time ratio (>= 1.0 means the
             winner is no slower than the default on the tuning probe).
-        trials: Per-candidate measurement records (spec, analytic score,
-            median seconds, parity verdict) — the search's audit trail.
+        trials: Per-candidate measurement records (spec, label, median
+            seconds, parity verdict) — the search's audit trail.
     """
 
     fingerprint: str

@@ -17,8 +17,8 @@ constructor arguments).  None of them changes result bytes:
 
 :func:`candidate_space` enumerates the space deterministically — same
 model, shape, batch and registered backends always yield the same
-candidate list in the same order — which is what makes the analytic
-ranking (and therefore the measured trial schedule) replayable.
+candidate list in the same order, default first — which is what makes
+the measured trial schedule replayable.
 """
 
 from __future__ import annotations
@@ -114,9 +114,9 @@ def _backend_candidates() -> list[str]:
     """Deterministic backend spec candidates from the live registry.
 
     One spec per registered name, parameterized for this host: the
-    threaded backend gets the usable-CPU worker count (min 2 — chunking
-    wins even single-core on the wide grouped GEMMs), the blocked
-    backend gets the fixed block candidates.  Unregistered names never
+    threaded backend gets the usable-CPU worker count (min 2, so its
+    chunked path is in the race even on one core), the blocked backend
+    gets the fixed block candidates.  Unregistered names never
     appear, so a winner is always constructible where it was measured.
     """
     specs: list[str] = []

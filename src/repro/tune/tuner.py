@@ -1,20 +1,17 @@
-"""Measured-trial autotuning: seed analytically, verify bits, time, cache.
+"""Measured-trial autotuning: enumerate, verify bits, time, cache.
 
-The search loop (:func:`tune_model`) is the repo's hardware<->software
-loop closed end to end:
+The search loop (:func:`tune_model`) times the whole space:
 
 1. :func:`~repro.tune.space.candidate_space` enumerates the
-   deterministic backend x tile x micro-batch candidate list;
-2. :func:`~repro.tune.roofline.rank_candidates` orders it by analytic
-   cost so only the ``top_k`` promising points (plus, always, the
-   default configuration) pay for wall-clock trials;
-3. each measured candidate first runs a **parity guard**: its output on
-   the probe batch must equal the default configuration's output *byte
-   for byte* (``np.array_equal``), or it is disqualified — this is what
-   lets every cached winner claim tuned == untuned bitwise without
-   hedging (tile geometries that would reassociate a BLAS reduction
-   simply never win);
-4. surviving candidates get ``warmup`` discarded runs then a
+   deterministic backend x tile x micro-batch candidate list, default
+   configuration first;
+2. every candidate, in that order, first runs a **parity guard**: its
+   output on the probe batch must equal the default configuration's
+   output *byte for byte* (``np.array_equal``), or it is disqualified —
+   this is what lets every cached winner claim tuned == untuned bitwise
+   without hedging (tile geometries that would reassociate a BLAS
+   reduction simply never win);
+3. surviving candidates get ``warmup`` discarded runs then a
    median-of-``trials`` :func:`time.perf_counter` timing; the winner is
    the fastest median, ties broken toward the default and then by
    label, so the outcome is deterministic given the measurements.
@@ -41,8 +38,7 @@ import numpy as np
 from ..nn.backend import available_backends
 from ..nn.module import Module
 from .cache import TuningCache, TuningEntry, model_signature, tuning_fingerprint
-from .roofline import rank_candidates
-from .space import TunedConfig, bucket_batch, candidate_space, default_config
+from .space import TunedConfig, bucket_batch, candidate_space
 
 __all__ = ["lookup", "model_label", "tune_model"]
 
@@ -88,7 +84,7 @@ def _time_config(
     for _ in range(max(warmup - 1, 0)):  # first (parity) run was a warmup too
         predictor.predict(probe)
     samples = []
-    for _ in range(max(trials, 1)):
+    for _ in range(trials):
         started = time.perf_counter()
         predictor.predict(probe)
         samples.append(time.perf_counter() - started)
@@ -103,7 +99,6 @@ def tune_model(
     seed: int = 0,
     trials: int = 3,
     warmup: int = 1,
-    top_k: int = 6,
     cache: TuningCache | None = None,
     store: bool = True,
 ) -> TuningEntry:
@@ -115,30 +110,28 @@ def tune_model(
         batch: Offered batch ceiling; quantized via
             :func:`~repro.tune.space.bucket_batch` into the tuning key.
         seed: Pins the probe inputs (and therefore the whole schedule).
-        trials: Timed runs per candidate (the median is scored).
-        warmup: Discarded runs per candidate before timing.
-        top_k: Analytically best candidates measured (default included
-            regardless of its rank).
+        trials: Timed runs per candidate (the median is scored); >= 1.
+        warmup: Discarded runs per candidate before timing; >= 0.
         cache: Destination store; the default cache when omitted.
         store: Persist the winning entry (disable for dry runs).
 
     Returns:
         The :class:`~repro.tune.cache.TuningEntry` (stored unless
         ``store=False``).
+
+    Raises:
+        ValueError: On a non-(C, H, W) shape, ``trials < 1`` or
+            ``warmup < 0``.
     """
     if len(shape) != 3:
         raise ValueError(f"expected a (C, H, W) request shape, got {shape}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     bucket = bucket_batch(batch)
     candidates = candidate_space(model, shape, batch)
-    ranked = rank_candidates(model, shape, bucket, candidates)
-    base = default_config(model, batch)
-    measured = [config for config, _ in ranked[: max(top_k, 1)]]
-    if base not in measured:
-        measured.append(base)
-    # Measure the default first so every other candidate has the parity
-    # reference; remaining measured candidates keep their analytic order.
-    measured.sort(key=lambda config: (config != base,))
-    scores = {config: score for config, score in ranked}
+    base = candidates[0]  # the default: every later candidate's parity reference
 
     rng = np.random.default_rng(seed)
     probe = rng.standard_normal((bucket, *map(int, shape)))
@@ -146,36 +139,23 @@ def tune_model(
     records: list[dict] = []
     reference: np.ndarray | None = None
     timings: dict[TunedConfig, float] = {}
-    for config in measured:
+    for config in candidates:
         median, parity, output = _time_config(
             model, config, probe, reference, warmup=warmup, trials=trials
         )
-        if config == base:
+        if reference is None:
             reference = output
         timings[config] = median
         records.append(
             {
                 "config": config.to_jsonable(),
                 "label": config.label(),
-                "analytic": scores[config],
                 "median_s": median if parity else None,
                 "parity": parity,
             }
         )
-    # Unmeasured candidates stay in the audit trail with their scores.
-    records.extend(
-        {
-            "config": config.to_jsonable(),
-            "label": config.label(),
-            "analytic": score,
-            "median_s": None,
-            "parity": None,
-        }
-        for config, score in ranked
-        if config not in timings
-    )
 
-    survivors = [config for config in measured if timings[config] != float("inf")]
+    survivors = [config for config in candidates if timings[config] != float("inf")]
     winner = min(
         survivors, key=lambda config: (timings[config], config != base, config.label())
     )

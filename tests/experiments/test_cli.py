@@ -250,6 +250,14 @@ class TestTrainCommand:
         assert "nothing to train" in capsys.readouterr().out
 
 
+class TestTuneCommand:
+    @pytest.mark.parametrize("flag", [["--trials", "0"], ["--warmup", "-1"]])
+    def test_bad_trial_counts_exit(self, tmp_path, flag):
+        with pytest.raises(SystemExit, match="--warmup >= 0"):
+            main(["tune", "denoise:real", *flag, "--results-dir", str(tmp_path)])
+        assert not (tmp_path / "tuning").exists()
+
+
 class TestWarmStartFlag:
     def test_run_warm_start_sets_env_and_reuses_weights(
         self, tmp_path, monkeypatch, fake_experiment

@@ -22,6 +22,7 @@ from repro.tune import (
     TuningCache,
     TuningEntry,
     bucket_batch,
+    candidate_space,
     lookup,
     model_label,
     model_signature,
@@ -73,14 +74,14 @@ def _plant_entry(model, winner: TunedConfig, shape=SHAPE, batch=BATCH) -> Tuning
 class TestTuneModel:
     @pytest.mark.smoke
     def test_populates_cache_and_lookup_hits(self, model, tuning_dir):
-        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=1, top_k=2)
+        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=1)
         assert list(tuning_dir.glob("*.json")), "no cache file written"
         hit = lookup(model, SHAPE, BATCH)
         assert hit is not None and hit.winner == entry.winner
         assert hit.fingerprint == entry.fingerprint
 
     def test_default_is_always_measured_and_winner_no_slower(self, model, tuning_dir):
-        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=1, top_k=1)
+        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=1)
         measured = [t for t in entry.trials if t["median_s"] is not None]
         assert entry.default.to_jsonable() in [t["config"] for t in measured]
         # Winner is min-median over a set containing the default.
@@ -91,17 +92,31 @@ class TestTuneModel:
         assert winner_trials and winner_trials[0]["parity"] is True
 
     def test_trial_schedule_is_deterministic_under_pinned_seed(self, model, tuning_dir):
-        a = tune_model(model, SHAPE, BATCH, seed=3, trials=1, top_k=3, store=False)
-        b = tune_model(model, SHAPE, BATCH, seed=3, trials=1, top_k=3, store=False)
-        # The candidate enumeration, analytic ranking, and therefore the
-        # measured-candidate schedule replay exactly; only wall-clock
-        # medians (and possibly the winner) may differ.
+        a = tune_model(model, SHAPE, BATCH, seed=3, trials=1, store=False)
+        b = tune_model(model, SHAPE, BATCH, seed=3, trials=1, store=False)
+        # The candidate enumeration, and therefore the measured-candidate
+        # schedule, replays exactly; only wall-clock medians (and
+        # possibly the winner) may differ.
         assert [t["label"] for t in a.trials] == [t["label"] for t in b.trials]
-        assert [t["analytic"] for t in a.trials] == [t["analytic"] for t in b.trials]
         assert a.fingerprint == b.fingerprint
 
+    def test_every_candidate_is_timed_in_enumeration_order(self, model, tuning_dir):
+        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=1, store=False)
+        space = candidate_space(model, SHAPE, BATCH)
+        assert [t["label"] for t in entry.trials] == [c.label() for c in space]
+        assert entry.trials[0]["config"] == entry.default.to_jsonable()
+        assert all(t["parity"] is not None for t in entry.trials)
+
+    @pytest.mark.parametrize("counts", [{"trials": 0}, {"warmup": -1}])
+    def test_rejects_bad_trial_counts(self, model, tuning_dir, counts):
+        with pytest.raises(ValueError):
+            tune_model(model, SHAPE, BATCH, seed=0, store=False, **counts)
+        with pytest.raises(ValueError):
+            Predictor(model, batch_size=BATCH).tune(SHAPE, seed=0, **counts)
+        assert not list(tuning_dir.glob("*.json"))
+
     def test_batch_is_bucketed_into_the_key(self, model, tuning_dir):
-        tune_model(model, SHAPE, 3, seed=0, trials=1, top_k=1)
+        tune_model(model, SHAPE, 3, seed=0, trials=1)
         # 3 and 4 share the power-of-two bucket; 8 does not.
         assert lookup(model, SHAPE, 4) is not None
         assert lookup(model, SHAPE, 8) is None
@@ -214,7 +229,7 @@ class TestBitIdentity:
 
     def test_real_tune_then_serve_is_bit_identical(self, model, tuning_dir):
         # End to end with a *measured* winner, not a planted one.
-        tune_model(model, SHAPE, BATCH, seed=0, trials=1, top_k=4)
+        tune_model(model, SHAPE, BATCH, seed=0, trials=1)
         x = _probe()
         np.testing.assert_array_equal(
             Predictor(model, batch_size=BATCH, tuned=True)(x),
@@ -229,7 +244,7 @@ class TestBitIdentity:
         for param in model.parameters():
             param.data[...] += 0.05 * rng.standard_normal(param.shape)
         model.eval()
-        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=1, top_k=4)
+        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=1)
         assert lookup(model, SHAPE, BATCH) == entry
         x = _probe()
         np.testing.assert_array_equal(
@@ -277,7 +292,7 @@ class TestEnvFlag:
 
     def test_predictor_tune_entry_point(self, model, tuning_dir):
         predictor = Predictor(model, batch_size=BATCH, tuned=True)
-        entry = predictor.tune(SHAPE, seed=0, trials=1, top_k=2)
+        entry = predictor.tune(SHAPE, seed=0, trials=1)
         assert lookup(model, SHAPE, BATCH) is not None
         assert entry.batch == bucket_batch(BATCH)
         x = _probe()
