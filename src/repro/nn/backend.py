@@ -132,54 +132,76 @@ def _chunks(n: int, groups: int, slice_bytes: int) -> list[tuple[slice, ...]]:
 
 
 class _ScratchPool:
-    """One thread's recycled conv buffers: padded inputs for every
-    im2col, cols for the direct-write inference kernel.
+    """One thread's recycled conv buffers, and the conv geometry that
+    views them.
 
-    Bounded by bytes rather than by shape count.  The kernel's cols live
-    in one grow-only buffer reached through a cached view per shape, and
-    it fills them one chunk at a time, so the pool pins at most
-    :data:`_CHUNK_BYTES` of cols (one GEMM slice's when a single slice
-    is larger), whatever the batch.  Padded inputs, about a ninth of a
-    3x3 conv's cols, keep one array per (shape, padding) key, so their
-    zero borders are written once.  Each of the two key caches is
-    cleared whole when it reaches ``KEYS`` entries.
+    Padded inputs keep one zero-filled array per (shape, padding) key,
+    so their borders are written once; every im2col pads through them.
+    The direct-write inference kernel's cols live in one grow-only byte
+    buffer that it fills one :func:`_chunks` chunk at a time, so the pool
+    pins at most :data:`_CHUNK_BYTES` of cols (one GEMM slice's when a
+    single slice is larger), whatever the batch.
+
+    Per conv geometry (input shape, dtype, kh, kw, stride, padding) the
+    pool caches everything :meth:`Backend._conv_infer_into` derives from
+    those buffers: the padded buffer's interior view and, per chunk, its
+    index, window slice, cols view and GEMM-shaped cols view.  Only the
+    bytes change between calls of one geometry.  An entry is dropped
+    whenever a buffer it views is: the padded cache clearing, or the
+    cols buffer growing.  Each key cache is cleared whole when it
+    reaches ``KEYS`` entries.
     """
 
     KEYS = 16
 
     def __init__(self) -> None:
         self._padded: dict[tuple, np.ndarray] = {}
-        self._views: dict[tuple, np.ndarray] = {}
+        self._geometry: dict[tuple, tuple] = {}
         self.cols_bytes = np.empty(0, dtype=np.uint8)
 
-    def padded(
-        self, shape: tuple[int, ...], dtype: np.dtype, padding: int
-    ) -> tuple[np.ndarray, bool]:
-        """(buffer, fresh): this key's padded-input array; ``fresh`` when
-        it was just allocated, so its borders still need zeroing."""
+    def padded(self, shape: tuple[int, ...], dtype: np.dtype, padding: int) -> np.ndarray:
+        """This key's padded-input array, zero-filled when allocated."""
         key = (shape, dtype.str, padding)
         buf = self._padded.get(key)
-        if buf is not None:
-            return buf, False
-        if len(self._padded) >= self.KEYS:
-            self._padded.clear()
-        buf = self._padded[key] = np.empty(shape, dtype=dtype)
-        return buf, True
+        if buf is None:
+            if len(self._padded) >= self.KEYS:
+                self._padded.clear()
+                self._geometry.clear()
+            buf = self._padded[key] = np.zeros(shape, dtype=dtype)
+        return buf
 
-    def cols(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """A ``shape`` view of the shared cols buffer, growing it if short."""
-        key = (shape, dtype.str)
-        view = self._views.get(key)
-        if view is not None:
-            return view
-        nbytes = math.prod(shape) * dtype.itemsize
+    def conv(
+        self, shape: tuple[int, ...], dtype: np.dtype, kh: int, kw: int, stride: int, padding: int
+    ) -> tuple[np.ndarray, tuple]:
+        """(interior, chunks) of one conv geometry: the view of the padded
+        buffer an input is copied into, and per chunk ``(index, window,
+        cols, gemm_cols)``.  Built on first use."""
+        key = (shape, dtype, kh, kw, stride, padding)
+        entry = self._geometry.get(key)
+        if entry is not None:
+            return entry
+        *lead, ci, h, w = shape
+        hp, wp, ho, wo = conv_geometry(h, w, kh, kw, stride, padding)
+        xp = self.padded((*lead, ci, hp, wp), dtype, padding)
+        windows = _windows(xp, kh, kw, stride, ho, wo)
+        k, p = ci * kh * kw, ho * wo
+        index = _chunks(lead[0], math.prod(lead[1:]), k * p * dtype.itemsize)
+        nbytes = max(windows[i].nbytes for i in index)
         if self.cols_bytes.nbytes < nbytes:
             self.cols_bytes = np.empty(nbytes, dtype=np.uint8)
-            self._views.clear()
-        elif len(self._views) >= self.KEYS:
-            self._views.clear()
-        view = self._views[key] = self.cols_bytes[:nbytes].view(dtype).reshape(shape)
-        return view
+            self._geometry.clear()
+        elif len(self._geometry) >= self.KEYS:
+            self._geometry.clear()
+        chunks = []
+        for i in index:
+            window = windows[i]
+            cols = self.cols_bytes[: window.nbytes].view(dtype).reshape(window.shape)
+            chunks.append((i, window, cols, cols.reshape(*window.shape[: len(lead)], k, p)))
+        entry = self._geometry[key] = (
+            xp[..., padding : hp - padding, padding : wp - padding],
+            tuple(chunks),
+        )
+        return entry
 
 
 class Backend:
@@ -331,21 +353,14 @@ class Backend:
         steady state.  Accepts any leading-dim layout (4-D batched or
         5-D grouped) and strided views — the centre assignment handles
         non-contiguous sources without an extra compaction pass.  The
-        border strips are zeroed only when the buffer is freshly
-        allocated: the scratch key includes ``padding``, so every later
-        hit writes the identical centre region and the borders stay
-        zero between calls.
+        scratch key includes ``padding``, so every later hit writes the
+        identical centre region and the zero borders stay zero.
         """
         if not padding:
             return x
         h, w = x.shape[-2], x.shape[-1]
         shape = (*x.shape[:-2], h + 2 * padding, w + 2 * padding)
-        xp, fresh = self._scratch_pool().padded(shape, x.dtype, padding)
-        if fresh:
-            xp[..., :padding, :] = 0.0
-            xp[..., -padding:, :] = 0.0
-            xp[..., padding:-padding, :padding] = 0.0
-            xp[..., padding:-padding, -padding:] = 0.0
+        xp = self._scratch_pool().padded(shape, x.dtype, padding)
         xp[..., padding:-padding, padding:-padding] = x
         return xp
 
@@ -363,28 +378,26 @@ class Backend:
 
         Plain: x (N, Ci, H, W), w (Co, Ci*kh*kw), out (N, Co, Ho, Wo).
         Grouped: x (N, G, Ci, H, W), w (G, Co, Ci*kh*kw), out
-        (N, G, Co, Ho, Wo).  The whole input is padded once; then each
+        (N, G, Co, Ho, Wo).  The whole input is copied once into the
+        interior of the pool's zero-bordered padded buffer (at padding 0
+        too, so no cached view ever aliases a caller's ``x``); then each
         :func:`_chunks` chunk of (sample, group) slices copies its
         windows into the pool's recycled cols buffer and runs its GEMMs
         into its slice of ``out`` while those cols are still in cache.
-        numpy's batched matmul runs one GEMM per 2-D slice, and every
-        slice keeps the (Co, K) x (K, P) dimensions and operand bytes of
-        the training forward, so the bits are the same for any chunking.
-        Only BLAS-parity backends may use this; einsum semantics go
-        through the compute-then-copy base path.
+        The views all come from the pool's per-geometry cache
+        (:meth:`_ScratchPool.conv`), so a call is one interior copy plus
+        one copy and one GEMM per chunk.  numpy's batched matmul runs one
+        GEMM per 2-D slice, and every slice keeps the (Co, K) x (K, P)
+        dimensions and operand bytes of the training forward, so the
+        bits are the same for any chunking.  Only BLAS-parity backends
+        may use this; einsum semantics go through the compute-then-copy
+        base path.
         """
-        *lead, ci, h, wd = x.shape
-        _, _, ho, wo = conv_geometry(h, wd, kh, kw, stride, padding)
-        k, p = ci * kh * kw, ho * wo
-        xp = self._padded_scratch(x, padding)
-        windows = _windows(xp, kh, kw, stride, ho, wo)
-        out_flat = out.reshape(*lead, w.shape[-2], p)
-        pool = self._scratch_pool()
-        for index in _chunks(lead[0], math.prod(lead[1:]), k * p * xp.dtype.itemsize):
-            chunk = windows[index]
-            cols = pool.cols(chunk.shape, xp.dtype)
-            np.copyto(cols, chunk)
-            gemm_cols = cols.reshape(*chunk.shape[: len(lead)], k, p)
+        interior, chunks = self._scratch_pool().conv(x.shape, x.dtype, kh, kw, stride, padding)
+        np.copyto(interior, x)
+        out_flat = out.reshape(*out.shape[:-2], out.shape[-2] * out.shape[-1])
+        for index, window, cols, gemm_cols in chunks:
+            np.copyto(cols, window)
             np.matmul(w[index[1:]], gemm_cols, out=out_flat[index])
         return out
 

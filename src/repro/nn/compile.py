@@ -34,7 +34,7 @@ integer id.  Values come in four kinds:
   bakes per-call weight-side work out of the hot path;
 * ``op`` — the output of an :class:`OpRecord`;
 * ``view`` — an op output that numpy returned as a view of its input
-  (reshape/transpose/crop); it aliases the producing value's storage
+  (reshape/transpose); it aliases the producing value's storage
   and costs nothing to rebuild per run.
 
 **Op records.**  The plan body is a flat tuple of :class:`OpRecord`,
@@ -43,7 +43,10 @@ executed in order.  Each record holds:
 * ``kind`` — the kernel name (``conv2d``, ``conv2d_grouped``,
   ``matmul``, ``tuple_transform``, ``sum``, ``avg_pool``,
   ``pixel_shuffle``, ``pixel_unshuffle``, ``reshape``, ``transpose``,
-  ``pad2d``, ``crop2d``, ``select``, ``call`` or ``ew``);
+  ``concat``, ``call`` or ``ew``).  Tensor ops that no model of
+  :mod:`repro.models` applies to traced data (``select``, ``pad2d``,
+  ``crop2d``, division, negation, powers, ``abs``, ``exp``, ``log``)
+  have no replay kernel; tracing one raises :class:`TraceError`;
 * ``inputs`` — value ids of the kernel operands, in kernel order (for
   ``conv2d`` this is ``(x, w_mat[, bias])`` with the weight matrix and
   broadcast-shaped bias captured as constants);
@@ -72,15 +75,26 @@ freshly allocated.  Buffers are materialized lazily **per thread**
 (plans are shared by cloned serving predictors), so concurrent replays
 never share scratch.
 
+**Per-call work.**  A ``conv2d`` / ``conv2d_grouped`` record calls the
+backend's ``*_infer(..., out=slot)``, whose direct-write kernel takes
+every view it needs (the padded input's interior, the window slices,
+the cols) from the calling thread's scratch pool, cached per conv
+geometry; a replayed conv is one interior copy plus one copy and one
+GEMM per L2-sized chunk.  A ``tuple_transform`` record is one
+(m, n) x (n, P) GEMM over the contiguous (*lead, n, P) reshape of its
+input, the same helper eager calls, so its output is C-contiguous and
+a following reshape (FRCONV's recombination) is a view, not a copy.
+
 **Invalidation rules.**  A plan is valid for exactly one input shape
 and one weight state.  :class:`~repro.nn.inference.CompiledPredictor`
 keys its lazy cache on the full input shape and stamps every entry with
 :func:`model_stamp` — the per-parameter
-:func:`~repro.nn.module.weight_fingerprint` (content hash: catches any
-in-place mutation, the same mechanism invalidating the layers' eval
-weight caches) plus the module tree's ``_state_version`` counters
-(bumped by ``train()`` / ``load_state_dict()``: catches mode flips and
-non-parameter state such as BatchNorm running statistics).  A stale
+:func:`~repro.nn.module.weight_fingerprint` (array identity plus a
+content hash: catches a rebound parameter and any in-place mutation,
+the same mechanism invalidating the layers' eval weight caches) plus
+the module tree's ``_state_version`` counters (bumped by ``train()`` /
+``load_state_dict()``: catches mode flips and non-parameter state such
+as BatchNorm running statistics).  A stale
 stamp rebuilds the plan on the next forward.  Mutating non-parameter
 buffers directly (e.g. assigning ``bn.running_mean``) bypasses both
 signals — call ``model.train(False)`` (or any state-dict load) after
@@ -96,7 +110,7 @@ import numpy as np
 
 from . import backend as backend_module
 from .module import Module, weight_fingerprint
-from .tensor import Tensor, is_grad_enabled, no_grad
+from .tensor import Tensor, _tuple_product, is_grad_enabled, no_grad
 
 __all__ = [
     "CompileError",
@@ -122,7 +136,7 @@ class CompileError(RuntimeError):
 _INPUT, _CONST, _OP, _VIEW = "input", "const", "op", "view"
 
 #: Op kinds whose eager result may be a numpy view of the first operand.
-_VIEW_KINDS = frozenset({"reshape", "transpose", "crop2d"})
+_VIEW_KINDS = frozenset({"reshape", "transpose"})
 
 #: Op kinds whose replay kernel can write into a preallocated buffer.
 _SLOT_KINDS = frozenset(
@@ -194,22 +208,6 @@ def _ew_mul(a, b, dst, extra, scratch):
     return np.multiply(a, b, out=dst)
 
 
-def _ew_div(a, b, dst, extra, scratch):
-    return np.divide(a, b, out=dst)
-
-
-def _ew_rdiv(a, b, dst, extra, scratch):
-    return np.divide(b, a, out=dst)
-
-
-def _ew_neg(a, b, dst, extra, scratch):
-    return np.negative(a, out=dst)
-
-
-def _ew_pow(a, b, dst, extra, scratch):
-    return np.power(a, extra, out=dst)
-
-
 def _ew_relu(a, b, dst, extra, scratch):
     # Eager relu is ``x * (x > 0)`` — NOT np.maximum, whose -0.0/NaN
     # behavior differs bitwise.  The bool mask is recycled scratch, the
@@ -224,30 +222,11 @@ def _ew_leaky_relu(a, b, dst, extra, scratch):
     return np.multiply(a, factor, out=dst)
 
 
-def _ew_abs(a, b, dst, extra, scratch):
-    return np.abs(a, out=dst)
-
-
-def _ew_exp(a, b, dst, extra, scratch):
-    return np.exp(a, out=dst)
-
-
-def _ew_log(a, b, dst, extra, scratch):
-    return np.log(a, out=dst)
-
-
 _EW_OPS = {
     "add": _ew_add,
     "mul": _ew_mul,
-    "div": _ew_div,
-    "rdiv": _ew_rdiv,
-    "neg": _ew_neg,
-    "pow": _ew_pow,
     "relu": _ew_relu,
     "leaky_relu": _ew_leaky_relu,
-    "abs": _ew_abs,
-    "exp": _ew_exp,
-    "log": _ew_log,
 }
 
 
@@ -293,8 +272,7 @@ def _run_matmul(rec, env, dst, backend, scratch):
 
 
 def _run_tuple_transform(rec, env, dst, backend, scratch):
-    moved = np.moveaxis(env[rec.inputs[0]], rec.params[0], -1)
-    return np.moveaxis(backend.matmul(moved, env[rec.inputs[1]].T), -1, rec.params[0])
+    return _tuple_product(backend.matmul, env[rec.inputs[1]], env[rec.inputs[0]], rec.params[0])
 
 
 def _run_sum(rec, env, dst, backend, scratch):
@@ -343,25 +321,6 @@ def _run_transpose(rec, env, dst, backend, scratch):
     return env[rec.inputs[0]].transpose(rec.params[0])
 
 
-def _run_pad2d(rec, env, dst, backend, scratch):
-    src = env[rec.inputs[0]]
-    widths = [(0, 0)] * (src.ndim - 2) + [(rec.params[0], rec.params[0])] * 2
-    return np.pad(src, widths)
-
-
-def _run_crop2d(rec, env, dst, backend, scratch):
-    m = rec.params[0]
-    return env[rec.inputs[0]][(Ellipsis, slice(m, -m), slice(m, -m))]
-
-
-def _run_select(rec, env, dst, backend, scratch):
-    axis, index = rec.params
-    src = env[rec.inputs[0]]
-    sl = [slice(None)] * src.ndim
-    sl[axis] = index
-    return src[tuple(sl)].copy()
-
-
 def _run_concat(rec, env, dst, backend, scratch):
     return np.concatenate([env[v] for v in rec.inputs], axis=rec.params[0])
 
@@ -383,9 +342,6 @@ _KERNELS = {
     "pixel_shuffle": _run_pixel_shuffle,
     "pixel_unshuffle": _run_pixel_unshuffle,
     "transpose": _run_transpose,
-    "pad2d": _run_pad2d,
-    "crop2d": _run_crop2d,
-    "select": _run_select,
     "concat": _run_concat,
     "call": _run_call,
 }
@@ -595,22 +551,18 @@ class Tracer:
     def record_ew(self, op: str, src, operand, out: np.ndarray, extra=None) -> None:
         """Record one elementwise op as a single-step ``ew`` chain.
 
-        The running (first) position must hold a tracked array; for
-        commutative ops the operands are swapped to arrange that (IEEE
-        add/mul are bitwise commutative), and a tracked denominator
-        turns ``div`` into ``rdiv``.
+        The running (first) position must hold a tracked array; the
+        operands of the two-operand ops are swapped to arrange that (IEEE
+        add/mul are bitwise commutative).
         """
         self._settle_pending(out)
         src_tracked = self._is_tracked(src)
         if not src_tracked and (operand is None or not self._is_tracked(operand)):
             return
         if not src_tracked:
-            if op in _COMMUTATIVE:
-                src, operand = operand, src
-            elif op == "div":
-                op, src, operand = "rdiv", operand, src
-            else:  # pragma: no cover - unary ops have no second operand
+            if op not in _COMMUTATIVE:  # pragma: no cover - unary ops have no second operand
                 raise TraceError(f"elementwise op {op!r} with untracked running operand")
+            src, operand = operand, src
         in_vids = (self._ref(src),)
         step_operand = None
         if operand is not None:

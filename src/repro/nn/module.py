@@ -14,14 +14,17 @@ __all__ = ["Module", "weight_fingerprint"]
 def weight_fingerprint(arr: np.ndarray) -> tuple:
     """Content stamp of a weight array for eval-cache invalidation.
 
-    Hashes the raw bytes (plus buffer address and shape), so any
-    in-place mutation of the weights — optimizer step, quantization,
-    ``load_from_rconv``, even a value-permuting shuffle — changes the
-    stamp and a cache keyed on it can never serve stale weights.
-    O(size), but ring weights are small by design (the paper's n-times
-    DoF reduction), so this is negligible next to a convolution.
+    ``(id(arr), shape, hash of the raw bytes)``.  The content hash
+    catches any in-place mutation of the weights — optimizer step,
+    quantization, ``load_from_rconv``, even a value-permuting shuffle —
+    and ``id`` catches a parameter rebound to another array, so a cache
+    keyed on the stamp can never serve stale weights.  ``id`` rather
+    than the buffer address, because reading ``arr.ctypes.data`` costs
+    about 3 µs per call.  O(size), but ring weights are small by design
+    (the paper's n-times DoF reduction), so this is negligible next to
+    a convolution.
     """
-    return (arr.ctypes.data, arr.shape, hash(arr.tobytes()))
+    return (id(arr), arr.shape, hash(arr.tobytes()))
 
 
 class Module:

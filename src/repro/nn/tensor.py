@@ -12,6 +12,8 @@ hand-written vector-Jacobian product.  Convolution lives in
 
 from __future__ import annotations
 
+import math
+import operator
 import threading
 from collections.abc import Callable, Iterable
 
@@ -109,6 +111,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _tuple_product(matmul, mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """``mat`` (m, n) applied along ``axis`` (>= 0) of ``x``.
+
+    One (m, n) x (n, P) ``matmul`` per leading index over the (*lead, n, P)
+    reshape of ``x``, P the product of the trailing axes, reshaped back to
+    (*lead, m, *trail).  The reshape is a view of a C-contiguous ``x``
+    and the product is C-contiguous, so the only copy is of a strided
+    ``x``.  Eager forwards, their VJPs and compiled replay all call this.
+    """
+    lead, trail = x.shape[:axis], x.shape[axis + 1 :]
+    flat = x.reshape(*lead, x.shape[axis], math.prod(trail))
+    return matmul(mat, flat).reshape(*lead, mat.shape[0], *trail)
 
 
 class Tensor:
@@ -228,7 +244,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-grad)
 
-        return _trace_ew(Tensor._make(-self.data, (self,), backward), "neg", self.data)
+        return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
         return self + (-as_tensor(other))
@@ -261,8 +277,7 @@ class Tensor:
                     _unbroadcast(-grad * self.data / (other.data**2), other.shape)
                 )
 
-        out = Tensor._make(self.data / other.data, (self, other), backward)
-        return _trace_ew(out, "div", self.data, other.data)
+        return Tensor._make(self.data / other.data, (self, other), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -272,8 +287,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        out = Tensor._make(self.data**exponent, (self,), backward)
-        return _trace_ew(out, "pow", self.data, extra=exponent)
+        return Tensor._make(self.data**exponent, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -340,8 +354,7 @@ class Tensor:
                 sl = (Ellipsis, slice(padding, -padding), slice(padding, -padding))
                 self._accumulate(grad[sl])
 
-        out = Tensor._make(np.pad(self.data, widths), (self,), backward)
-        return _trace_op(out, "pad2d", (self.data,), padding)
+        return Tensor._make(np.pad(self.data, widths), (self,), backward)
 
     def crop2d(self, margin: int) -> "Tensor":
         """Remove ``margin`` pixels from each side of the spatial axes."""
@@ -356,8 +369,7 @@ class Tensor:
                 full[sl] = grad
                 self._accumulate(full)
 
-        out = Tensor._make(self.data[sl], (self,), backward)
-        return _trace_op(out, "crop2d", (self.data,), margin)
+        return Tensor._make(self.data[sl], (self,), backward)
 
     # ------------------------------------------------------------------
     # reductions and elementwise
@@ -409,8 +421,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * sign)
 
-        out = Tensor._make(np.abs(self.data), (self,), backward)
-        return _trace_ew(out, "abs", self.data)
+        return Tensor._make(np.abs(self.data), (self,), backward)
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
@@ -419,16 +430,14 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad * out_data)
 
-        out = Tensor._make(out_data, (self,), backward)
-        return _trace_ew(out, "exp", self.data)
+        return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self._accumulate(grad / self.data)
 
-        out = Tensor._make(np.log(self.data), (self,), backward)
-        return _trace_ew(out, "log", self.data)
+        return Tensor._make(np.log(self.data), (self,), backward)
 
     def select(self, axis: int, index: int) -> "Tensor":
         """Pick one slice along ``axis`` (the axis is dropped)."""
@@ -443,8 +452,7 @@ class Tensor:
                 full[sl_t] = grad
                 self._accumulate(full)
 
-        out = Tensor._make(self.data[sl_t].copy(), (self,), backward)
-        return _trace_op(out, "select", (self.data,), axis, index)
+        return Tensor._make(self.data[sl_t].copy(), (self,), backward)
 
     # ------------------------------------------------------------------
     # tuple-axis transforms (ring machinery)
@@ -452,18 +460,14 @@ class Tensor:
     def tuple_transform(self, mat: np.ndarray, axis: int) -> "Tensor":
         """Apply an (m, n) matrix along one axis: out = mat . x on that axis."""
         mat = np.asarray(mat, dtype=np.float64)
-        moved = np.moveaxis(self.data, axis, -1)
         # Forward through the active kernel backend (like __matmul__), so
         # deterministic substrates catch the ring transforms too; the VJP
-        # stays on np.matmul, keeping gradients backend-invariant.
-        out = np.moveaxis(
-            backend_module.current_backend().matmul(moved, mat.T), -1, axis
-        )
+        # stays on the @ operator, keeping gradients backend-invariant.
+        out = _tuple_product(backend_module.current_backend().matmul, mat, self.data, axis)
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                g_moved = np.moveaxis(grad, axis, -1)
-                self._accumulate(np.moveaxis(g_moved @ mat, -1, axis))
+                self._accumulate(_tuple_product(operator.matmul, mat.T, grad, axis))
 
         result = Tensor._make(out, (self,), backward)
         return _trace_op(result, "tuple_transform", (self.data, mat), axis)

@@ -173,8 +173,9 @@ class TuningEntry:
         batch: Offered batch ceiling the search assumed.
         winner: The measured-best configuration.
         default: The configuration the untuned path would have used.
-        speedup: Default-over-winner median-time ratio (>= 1.0 means the
-            winner is no slower than the default on the tuning probe).
+        speedup: Default-over-winner median-time ratio on fresh samples
+            taken after the search picked the winner (1.0 when the
+            default won, or when the pick lost that re-time).
         trials: Per-candidate measurement records (spec, label, median
             seconds, parity verdict) — the search's audit trail.
     """

@@ -27,7 +27,13 @@ import dataclasses
 from collections.abc import Mapping
 from typing import Any
 
-from ..nn.backend import available_backends, usable_cpu_count
+from ..nn.backend import (
+    available_backends,
+    current_backend,
+    default_backend,
+    get_backend,
+    usable_cpu_count,
+)
 from ..nn.inference import DEFAULT_TILE, plan_for_model
 from ..nn.module import Module
 
@@ -130,6 +136,14 @@ def _backend_candidates() -> list[str]:
     return specs
 
 
+def _is_ambient(spec: str) -> bool:
+    """Whether ``spec`` names the backend ``backend=None`` resolves to on
+    this thread: the same shared instance, or ``numpy`` for the process
+    default.  Timing both would time one schedule twice."""
+    ambient = current_backend()
+    return get_backend(spec) is ambient or (spec == "numpy" and ambient is default_backend())
+
+
 def _micro_batches(batch: int) -> list[int]:
     """Powers of two up to (and including) the offered batch bucket."""
     ceiling = bucket_batch(batch)
@@ -152,7 +166,9 @@ def candidate_space(
     crops (e.g. every tile >= the image runs the same batched path; 32
     and 48 both cut 64 px into 2 x 32), so varying between them only
     bloats the trial schedule.  The default tile is kept for its grid,
-    and the default configuration is always element 0.
+    and the default configuration is always element 0.  For the same
+    reason the explicit spec that the ambient backend (``None``)
+    resolves to is left out: ``numpy`` when no backend is selected.
     """
     if len(shape) != 3:
         raise ValueError(f"expected a (C, H, W) request shape, got {shape}")
@@ -164,7 +180,8 @@ def candidate_space(
         grids.setdefault(plan.grid(h, w), plan.tile)
     tiles = list(grids.values())
     candidates = [base]
-    for backend in [None, *_backend_candidates()]:
+    specs = [spec for spec in _backend_candidates() if not _is_ambient(spec)]
+    for backend in [None, *specs]:
         for tile in tiles:
             for micro in _micro_batches(batch):
                 config = TunedConfig(backend=backend, tile=tile, batch_size=micro)

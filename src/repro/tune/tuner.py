@@ -12,9 +12,16 @@ The search loop (:func:`tune_model`) times the whole space:
    without hedging (tile geometries that would reassociate a BLAS
    reduction simply never win);
 3. surviving candidates get ``warmup`` discarded runs then a
-   median-of-``trials`` :func:`time.perf_counter` timing; the winner is
-   the fastest median, ties broken toward the default and then by
-   label, so the outcome is deterministic given the measurements.
+   median-of-``trials`` :func:`time.perf_counter` timing; the fastest
+   median is the provisional winner, ties broken toward the default and
+   then by label, so the pick is deterministic given the measurements;
+4. a provisional winner other than the default is timed again against
+   the default on fresh, interleaved samples (``trials`` each).  It is
+   kept only if it is faster there, and ``speedup`` is the ratio of
+   those fresh medians; otherwise the default wins with ``speedup``
+   1.0.  The medians that picked the winner carry the minimum-of-N
+   selection bias (a schedule identical to the default can read
+   faster by noise alone), so they never report the gain.
 
 The probe inputs come from ``np.random.default_rng(seed)`` and every
 stage (candidate order, trial schedule, tie-breaks) is a pure function
@@ -91,6 +98,24 @@ def _time_config(
     return statistics.median(samples), True, output
 
 
+def _retime(
+    model: Module, configs: tuple[TunedConfig, ...], probe: np.ndarray, *, warmup: int, trials: int
+) -> list[float]:
+    """Fresh median seconds per config, timed in interleaved rounds so
+    drift on the host lands on every config alike."""
+    predictors = [_predictor_for(model, config) for config in configs]
+    for predictor in predictors:
+        for _ in range(warmup):
+            predictor.predict(probe)
+    samples: list[list[float]] = [[] for _ in configs]
+    for _ in range(trials):
+        for predictor, times in zip(predictors, samples, strict=True):
+            started = time.perf_counter()
+            predictor.predict(probe)
+            times.append(time.perf_counter() - started)
+    return [statistics.median(times) for times in samples]
+
+
 def tune_model(
     model: Module,
     shape: tuple[int, ...],
@@ -110,8 +135,10 @@ def tune_model(
         batch: Offered batch ceiling; quantized via
             :func:`~repro.tune.space.bucket_batch` into the tuning key.
         seed: Pins the probe inputs (and therefore the whole schedule).
-        trials: Timed runs per candidate (the median is scored); >= 1.
-        warmup: Discarded runs per candidate before timing; >= 0.
+        trials: Timed runs per candidate (the median is scored), and per
+            side of the winner's re-time; >= 1.
+        warmup: Discarded runs per candidate (and per re-timed side)
+            before timing; >= 0.
         cache: Destination store; the default cache when omitted.
         store: Persist the winning entry (disable for dry runs).
 
@@ -159,13 +186,20 @@ def tune_model(
     winner = min(
         survivors, key=lambda config: (timings[config], config != base, config.label())
     )
+    speedup = 1.0
+    if winner != base:
+        base_s, winner_s = _retime(model, (base, winner), probe, warmup=warmup, trials=trials)
+        if 0 < winner_s < base_s:
+            speedup = base_s / winner_s
+        else:
+            winner = base
     entry = TuningEntry(
         fingerprint=tuning_fingerprint(model_signature(model), tuple(shape), bucket),
         shape=tuple(int(x) for x in shape),
         batch=bucket,
         winner=winner,
         default=base,
-        speedup=timings[base] / timings[winner] if timings[winner] > 0 else 1.0,
+        speedup=speedup,
         trials=records,
     )
     if store:

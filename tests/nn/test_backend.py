@@ -380,6 +380,58 @@ def test_cols_scratch_pins_the_largest_request_not_the_sum():
         assert largest <= held <= backend_module._CHUNK_BYTES
 
 
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_geometry_cache_never_serves_a_stale_input(padding):
+    """Two different inputs of one shape share one cached geometry entry:
+    each call writes its own input's bytes, a cached view never aliases
+    the caller's ``x`` (at padding 0 the input is copied too), and
+    rewriting the first input after its call changes nothing."""
+    rng = np.random.default_rng(36)
+    backend = NumpyBackend()
+    w_mat = rng.standard_normal((5, 4 * 9))
+    first, second = _signed_zeros(rng, (2, 4, 7, 6)), _signed_zeros(rng, (2, 4, 7, 6))
+    refs = [NumpyBackend().conv2d(x, w_mat, 3, 3, 1, padding)[0] for x in (first, second)]
+    outs = []
+    for x in (first, second):
+        out = np.full_like(refs[0], np.nan)
+        outs.append(backend.conv2d_infer(x, w_mat, 3, 3, 1, padding, out=out))
+    first[...] = np.nan
+    for out, ref in zip(outs, refs, strict=True):
+        assert _same_bytes(out, ref)
+    pool = backend._scratch_pool()
+    (interior, chunks), = pool._geometry.values()
+    for view in (interior, *(a for chunk in chunks for a in chunk[1:])):
+        assert not np.shares_memory(view, first) and not np.shares_memory(view, second)
+    rerun = backend.conv2d_infer(second, w_mat, 3, 3, 1, padding, out=np.empty_like(refs[1]))
+    assert _same_bytes(rerun, refs[1])
+
+
+def test_conv_geometry_is_rebuilt_after_the_cols_buffer_grows():
+    """Growing the cols buffer drops every cached geometry (their cols
+    views point into the old buffer); the next call of an earlier
+    geometry rebuilds its entry on the new buffer and keeps its bytes."""
+    rng = np.random.default_rng(37)
+    backend = NumpyBackend()
+    pool = backend._scratch_pool()
+    w_mat = rng.standard_normal((3, 2 * 9))
+    small, large = _signed_zeros(rng, (1, 2, 6, 6)), _signed_zeros(rng, (4, 2, 12, 12))
+
+    def run(x):
+        out = np.empty((x.shape[0], 3, *x.shape[2:]))
+        backend.conv2d_infer(x, w_mat, 3, 3, 1, 1, out=out)
+        assert _same_bytes(out, NumpyBackend().conv2d(x, w_mat, 3, 3, 1, 1)[0])
+
+    run(small)
+    before = pool._geometry[(small.shape, small.dtype, 3, 3, 1, 1)]
+    run(large)
+    assert list(pool._geometry) == [(large.shape, large.dtype, 3, 3, 1, 1)]
+    grown = pool.cols_bytes
+    run(small)
+    after = pool._geometry[(small.shape, small.dtype, 3, 3, 1, 1)]
+    assert after is not before and pool.cols_bytes is grown
+    assert all(np.shares_memory(chunk[2], grown) for chunk in after[1])
+
+
 # ----------------------------------------------------------------------
 # chunk boundaries of the cache-blocked direct-write kernel
 # ----------------------------------------------------------------------

@@ -9,9 +9,13 @@ do (``load_state_dict``, ``train()``, in-place weight mutation).
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.models import ffdnet, resnet_small
 from repro.models.ernet import dn_ernet_pu, sr4_ernet
 from repro.models.factory import make_factory
 from repro.nn.backend import (
@@ -25,6 +29,7 @@ from repro.nn.compile import (
     CompileError,
     TraceError,
     Tracer,
+    _run_reshape_copy,
     build_plan,
     model_stamp,
 )
@@ -131,6 +136,45 @@ class TestParityMatrix:
         _randomize(model, seed=7)
         x = np.random.default_rng(23).standard_normal((1, 1, 16, 16))
         _assert_compiled_matches_eager(model, x, backend=EinsumBackend())
+
+    @pytest.mark.parametrize("name_backend", _backends(), ids=lambda nb: nb[0])
+    def test_classifier_replays_matmul_and_sum(self, name_backend):
+        """ResNetSmall reaches the ``matmul`` (Linear) and ``sum``
+        (GlobalAvgPool's mean) replay kernels, plus 1x1 unpadded convs."""
+        _, backend = name_backend
+        model = _randomize(resnet_small(blocks_per_stage=1), seed=4)
+        kinds = {rec.kind for rec in build_plan(model, np.zeros((2, 1, 16, 16))).records}
+        assert {"matmul", "sum"} <= kinds
+        x = np.random.default_rng(29).standard_normal((2, 1, 16, 16))
+        _assert_compiled_matches_eager(model, x, backend=backend)
+
+    @pytest.mark.parametrize("name_backend", _backends(), ids=lambda nb: nb[0])
+    def test_ffdnet_replays_concat(self, name_backend):
+        """FFDNet concatenates its noise map onto the unshuffled input:
+        the ``concat`` replay kernel."""
+        _, backend = name_backend
+        model = _randomize(ffdnet(depth=3, width=8), seed=5)
+        kinds = {rec.kind for rec in build_plan(model, np.zeros((1, 1, 16, 16))).records}
+        assert "concat" in kinds
+        x = np.random.default_rng(31).standard_normal((2, 1, 16, 16))
+        _assert_compiled_matches_eager(model, x, backend=backend)
+
+    def test_einsum_backend_ring_transforms(self):
+        """Tuple transforms (directional ReLU, FRCONV's T_x / T_z) replay
+        through EinsumBackend.matmul exactly as eager runs them."""
+        spec = get_ring("h")
+        model = Sequential(
+            FastRingConv2d(8, 8, 3, spec, padding=1, seed=1),
+            ReLU(),
+            FastRingConv2d(8, 8, 3, spec, padding=1, seed=2),
+        ).eval()
+        x = np.random.default_rng(37).standard_normal((2, 8, 9, 9))
+        _assert_compiled_matches_eager(model, x, backend=EinsumBackend())
+        denoiser = _randomize(
+            dn_ernet_pu(blocks=1, ratio=1, factory=make_factory("proposed", 4), seed=3)
+        )
+        x = np.random.default_rng(41).standard_normal((1, 1, 16, 16))
+        _assert_compiled_matches_eager(denoiser, x, backend=EinsumBackend())
 
 
 def _randomize(model, seed=0):
@@ -255,6 +299,15 @@ class _UntracedMake(Module):
         return out + 1.0
 
 
+class _OneOp(Module):
+    def __init__(self, op) -> None:
+        super().__init__()
+        self.op = op
+
+    def forward(self, x):
+        return self.op(x)
+
+
 class TestRefusals:
     def test_training_model_is_rejected(self):
         model = dn_ernet_pu(blocks=1, ratio=1).train()
@@ -283,6 +336,31 @@ class TestRefusals:
         with pytest.raises(TraceError, match="trace hook"):
             build_plan(model, x)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: x.select(1, 0),
+            lambda x: x.pad2d(1),
+            lambda x: x.crop2d(1),
+            lambda x: x / 2.0,
+            lambda x: -x,
+            lambda x: 1.0 - x,
+            lambda x: x**2,
+            lambda x: x.abs(),
+            lambda x: x.exp(),
+            lambda x: x.log(),
+        ],
+        ids=["select", "pad2d", "crop2d", "div", "neg", "rsub", "pow", "abs", "exp", "log"],
+    )
+    def test_ops_without_a_replay_kernel_are_trace_errors(self, op):
+        """No model in repro.models or repro.experiments applies these ops
+        to traced data, so they have no replay kernel: tracing one fails
+        at compile time instead of replaying untested code."""
+        model = _OneOp(op).eval()
+        x = np.abs(np.random.default_rng(8).standard_normal((1, 1, 4, 4))) + 1.0
+        with pytest.raises(TraceError, match="trace hook"):
+            build_plan(model, x)
+
     def test_plan_rejects_wrong_shape(self):
         model = _randomize(dn_ernet_pu(blocks=1, ratio=1))
         plan = build_plan(model, np.zeros((1, 1, 16, 16)))
@@ -303,12 +381,13 @@ class TestPlanStructure:
         assert any("relu" in [s[0] for s in rec.steps] for rec in plan.records)
 
     def test_frconv_bias_relu_fuse_as_one_epilogue(self):
-        """FRCONV's bias lands after the tuple recombination, so for an
-        interior layer bias-add and relu must chain as a two-step
-        epilogue on the producing record (a view-producing model *tail*
-        legitimately keeps its elementwise chain standalone)."""
+        """FRCONV's bias lands after the tuple recombination.  The T_z
+        transform writes a contiguous (N, Co_t, n, Ho, Wo) array, so the
+        recombining reshape is a view (no copy record), and for an
+        interior layer bias-add and relu chain as one two-step record
+        (a view-producing record takes no in-place epilogue)."""
         spec = get_ring("h")
-        width = 4 * spec.n  # multiple tuples: the recombining reshape copies
+        width = 4 * spec.n  # multiple tuples per channel axis
         model = Sequential(
             FastRingConv2d(width, width, 3, spec, padding=1, seed=1),
             ReLU(),
@@ -317,11 +396,9 @@ class TestPlanStructure:
         plan = build_plan(
             model, np.random.default_rng(8).standard_normal((1, width, 8, 8))
         )
-        assert any(
-            [s[0] for s in rec.steps] == ["add", "relu"]
-            for rec in plan.records
-            if rec.kind != "ew"
-        )
+        chains = [[s[0] for s in rec.steps] for rec in plan.records]
+        assert chains.count(["add", "relu"]) == 1
+        assert not any(rec._fn is _run_reshape_copy for rec in plan.records)
 
     def test_arena_slots_are_reused(self):
         """A deep straight-line stack needs O(1) live buffers, not one per
@@ -345,3 +422,43 @@ class TestPlanStructure:
         snapshot = first.copy()
         plan.run(x * 2.0, backend)
         assert np.array_equal(first, snapshot)
+
+
+class TestConcurrentReplay:
+    def test_threads_replaying_one_plan_stay_bit_identical(self):
+        """Each thread replays through its own arena and its own conv
+        scratch pool (padded buffers, cols and cached conv geometry), so
+        concurrent replays of one shared plan never share scratch bytes.
+        Three threads on a short switch interval interleave finely."""
+        model = _randomize(
+            dn_ernet_pu(blocks=1, ratio=1, factory=make_factory("proposed", 4), seed=3)
+        )
+        rng = np.random.default_rng(43)
+        inputs = [rng.standard_normal((1, 1, 16, 16)) for _ in range(4)]
+        plan = build_plan(model, inputs[0])
+        backend = NumpyBackend()
+        with no_grad():
+            expected = [model(Tensor(x)).data.tobytes() for x in inputs]
+        errors: list = []
+
+        def replay(offset: int) -> None:
+            try:
+                for i in range(60):
+                    k = (i + offset) % len(inputs)
+                    if plan.run(inputs[k], backend).tobytes() != expected[k]:
+                        errors.append((offset, i))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=replay, args=(k,)) for k in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []

@@ -250,3 +250,59 @@ class TestGradStateThreadLocality:
             thread.start()
             thread.join()
         assert observed == {"enabled": True}
+
+
+def _signed_zeros(rng, shape):
+    """Gaussian data with every third entry set to -0.0."""
+    a = rng.standard_normal(shape)
+    a.flat[::3] = -0.0
+    return a
+
+
+def _tuple_mats():
+    from repro.rings.catalog import get_ring
+    from repro.rings.nonlinearity import hadamard_relu
+
+    fast = get_ring("h").fast
+    relu = hadamard_relu(4)
+    return {"V": relu.v_mat, "U": relu.u_mat, "T_x": fast.tx, "T_z": fast.tz}
+
+
+class TestTupleTransformLayout:
+    """``tuple_transform`` runs one (m, n) x (n, P) GEMM per leading index
+    over the contiguous (*lead, n, P) reshape.  It must give the bytes of
+    the moveaxis form it replaced — a (P, n) x (n, m) product over the
+    tuple axis moved last — forward and VJP, signed zeros included, so
+    no trained byte changes."""
+
+    @pytest.mark.parametrize(
+        ("shape", "mat"),
+        [
+            ((1, 2, 4, 8, 8), "V"),  # dn-small's directional ReLU
+            ((1, 2, 4, 8, 8), "U"),
+            ((8, 2, 4, 12, 12), "V"),  # train-dn's batch
+            ((8, 2, 4, 12, 12), "U"),
+            ((4, 4, 4, 38, 38), "T_x"),  # frconv-64's tile crops
+            ((4, 4, 8, 38, 38), "T_z"),
+            ((16, 4, 4, 32, 32), "T_x"),
+            ((16, 4, 4, 32, 32), "V"),
+        ],
+    )
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_equals_the_moveaxis_form(self, shape, mat, strided):
+        mat = _tuple_mats()[mat]
+        rng = np.random.default_rng(12)
+        if strided:  # FRCONV's T_z input is a transposed view
+            x = _signed_zeros(rng, (shape[0], shape[2], shape[1], *shape[3:]))
+            x = x.transpose(0, 2, 1, 3, 4)
+        else:
+            x = _signed_zeros(rng, shape)
+        t = Tensor(x, requires_grad=True)
+        out = t.tuple_transform(mat, axis=2)
+        ref = np.moveaxis(np.moveaxis(x, 2, -1) @ mat.T, -1, 2)
+        assert out.data.flags.c_contiguous
+        assert out.data.tobytes() == ref.tobytes()
+        grad = _signed_zeros(rng, out.shape)
+        out.backward(grad)
+        ref_grad = np.moveaxis(np.moveaxis(grad, 2, -1) @ mat, -1, 2)
+        assert t.grad.tobytes() == ref_grad.tobytes()

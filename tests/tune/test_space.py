@@ -1,9 +1,12 @@
 """Tests for the autotuner's configuration space (repro.tune.space)."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.models.ernet import dn_ernet_pu
+from repro.nn.backend import current_backend, default_backend, get_backend, use_backend
 from repro.nn.inference import DEFAULT_TILE, plan_for_model
 from repro.tune import TunedConfig, bucket_batch, candidate_space, default_config
 
@@ -48,6 +51,28 @@ class TestCandidateSpace:
         candidates = candidate_space(model, (1, 64, 64), 8)
         assert candidates[0] == default_config(model, 8)
         assert len(candidates) == len(set(candidates))
+
+    @pytest.mark.parametrize("ambient", [None, "numpy", "blocked:4"])
+    def test_no_two_candidates_resolve_to_one_schedule(self, model, ambient):
+        """``backend=None`` runs the ambient backend, so the explicit spec
+        it resolves to is not enumerated again (numpy with no backend
+        selected)."""
+        context = use_backend(ambient) if ambient else contextlib.nullcontext()
+        with context:
+            candidates = candidate_space(model, (1, 16, 16), 8)
+            resolved = [
+                get_backend(config.backend) if config.backend else current_backend()
+                for config in candidates
+            ]
+        numpy = get_backend("numpy")
+        keys = [
+            (numpy if backend is default_backend() else backend, config.tile, config.batch_size)
+            for backend, config in zip(resolved, candidates, strict=True)
+        ]
+        assert len({(id(b), t, m) for b, t, m in keys}) == len(candidates)
+        assert candidates[0] == default_config(model, 8)
+        if ambient is not None or current_backend() is default_backend():
+            assert (ambient or "numpy") not in {config.backend for config in candidates}
 
     def test_enumeration_is_deterministic(self, model):
         a = candidate_space(model, (1, 64, 64), 8)

@@ -29,6 +29,7 @@ from repro.tune import (
     tune_model,
     tuning_fingerprint,
 )
+from repro.tune import tuner
 from repro.tune.cache import TUNED_ENV, TUNING_DIR_ENV
 
 SHAPE = (1, 16, 16)
@@ -114,6 +115,66 @@ class TestTuneModel:
         with pytest.raises(ValueError):
             Predictor(model, batch_size=BATCH).tune(SHAPE, seed=0, **counts)
         assert not list(tuning_dir.glob("*.json"))
+
+    @pytest.mark.parametrize(
+        ("retimed", "winner_index", "speedup"),
+        [((1.0, 1.2), 0, 1.0), ((1.0, 0.8), -1, 1.25)],
+        ids=["noise-winner-loses", "winner-confirmed"],
+    )
+    def test_winner_is_retimed_against_the_default(
+        self, model, tuning_dir, monkeypatch, retimed, winner_index, speedup
+    ):
+        """The search's medians pick the last candidate (0.5 s against
+        1.0 s).  A fresh interleaved re-time of (default, pick) decides:
+        a pick that loses it leaves the default as winner at speedup 1.0;
+        one that wins it reports the fresh ratio, not the search's 2.0."""
+        space = candidate_space(model, SHAPE, BATCH)
+        searched = {config: 1.0 for config in space}
+        searched[space[-1]] = 0.5
+        output = np.zeros((BATCH, *SHAPE))
+        retime_calls = []
+
+        def fake_time(model, config, probe, reference, *, warmup, trials):
+            return searched[config], True, output
+
+        def fake_retime(model, configs, probe, *, warmup, trials):
+            retime_calls.append((configs, trials))
+            return list(retimed)
+
+        monkeypatch.setattr(tuner, "_time_config", fake_time)
+        monkeypatch.setattr(tuner, "_retime", fake_retime)
+        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=3, store=False)
+        assert retime_calls == [((space[0], space[-1]), 3)]
+        assert entry.winner == space[winner_index]
+        assert entry.speedup == pytest.approx(speedup)
+
+    def test_default_winner_is_not_retimed(self, model, tuning_dir, monkeypatch):
+        space = candidate_space(model, SHAPE, BATCH)
+        output = np.zeros((BATCH, *SHAPE))
+        monkeypatch.setattr(
+            tuner, "_time_config", lambda model, config, *a, **k: (1.0, True, output)
+        )
+        monkeypatch.setattr(tuner, "_retime", pytest.fail)
+        entry = tune_model(model, SHAPE, BATCH, seed=0, trials=2, store=False)
+        assert entry.winner == space[0] and entry.speedup == 1.0
+
+    def test_retime_interleaves_the_configs(self, model, monkeypatch):
+        """Warmups first, then one timed run of each config per round."""
+        calls = []
+
+        class Recorder:
+            def __init__(self, name):
+                self.name = name
+
+            def predict(self, probe):
+                calls.append(self.name)
+
+        space = candidate_space(model, SHAPE, BATCH)
+        names = {space[0]: "base", space[1]: "pick"}
+        monkeypatch.setattr(tuner, "_predictor_for", lambda model, config: Recorder(names[config]))
+        medians = tuner._retime(model, (space[0], space[1]), _probe(), warmup=1, trials=3)
+        assert calls == ["base", "pick"] + ["base", "pick"] * 3
+        assert len(medians) == 2 and all(m >= 0 for m in medians)
 
     def test_batch_is_bucketed_into_the_key(self, model, tuning_dir):
         tune_model(model, SHAPE, 3, seed=0, trials=1)
